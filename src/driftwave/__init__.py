@@ -40,6 +40,7 @@ from .selection import LossSeries, SelectionResult, ingest_panel, select
 from .tvstudy import ScalingFit, TVStudySpec, risk, run_tv_study
 from .wavelets import (
     CoefficientVector,
+    SupportBasis,
     TransformMatrix,
     WaveletFamily,
     build_matrix,
@@ -49,6 +50,9 @@ from .wavelets import (
     get_family,
     inverse,
     last_column_support,
+    pyramid_analysis,
+    pyramid_synthesis,
+    support_basis,
 )
 
 __version__ = "0.1.0"

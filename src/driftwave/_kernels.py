@@ -1,153 +1,54 @@
-"""Per-prefix estimation kernels: batched numpy with an optional numba lane.
+"""Per-prefix estimation kernel.
 
 The benchmark harnesses evaluate the wavelet estimator on every prefix of an
-observation sequence, which dominates their runtime.  Two interchangeable
-implementations live here:
-
-* ``numpy`` (default): prefixes grouped by dyadic window size and evaluated
-  with batched matrix products,
-* ``numba``: the same semantics as explicit loops compiled with ``@njit``.
-
-Select with the environment variable ``DRIFTWAVE_BACKEND`` set to ``numpy``
-or ``numba``.  Both backends agree to floating-point reduction order;
-``benchmarks/compare_backends.py`` times them side by side (the BLAS-batched
-numpy path wins at desk scale, which is why it is the default).
+observation sequence, which dominates their runtime.  Prefixes sharing a
+dyadic window size m are evaluated together against the cached
+:class:`~driftwave.wavelets.SupportBasis` of that size: one matrix product of
+the sliding windows with the |S| support rows (reflect-folded rows under the
+reflect boundary), a soft threshold, and a dot with the newest-sample
+weights.  That is O(T |S|) work per level with |S| = O(L log m), and no
+transform of size m x m is formed.  :func:`prefix_estimates_reference` is the
+one-prefix-at-a-time contract the kernel is pinned to.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from functools import lru_cache
 
 import numpy as np
 
-from .denoise import MAD_SCALE, DenoiseConfig, estimate_latest
+from .denoise import MAD_SCALE, DenoiseConfig, _require_finite, estimate_latest
 from .errors import DomainError
-from .wavelets import cached_matrix
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_ENV_FLAG = "DRIFTWAVE_BACKEND"
-
-
-def active_backend() -> str:
-    """Backend chosen by DRIFTWAVE_BACKEND; numpy unless numba is requested."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAS_NUMBA:
-            raise RuntimeError("DRIFTWAVE_BACKEND=numba but numba is not importable")
-        return choice
-    return "numpy"
-
-
-@lru_cache(maxsize=None)
-def _flat_matrices(family: str, max_level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transforms for sizes 2**0..2**max_level concatenated into one flat buffer.
-
-    Entry k starts at offsets[k] and holds the 2**k x 2**k matrix row-major;
-    size 1 is the scalar identity so offsets index directly by level.
-    """
-    mats = [np.ones((1, 1))]
-    mats += [cached_matrix(family, 1 << k).rows for k in range(1, max_level + 1)]
-    offsets = np.zeros(max_level + 2, dtype=np.int64)
-    for k, m in enumerate(mats):
-        offsets[k + 1] = offsets[k] + m.size
-    flat = np.concatenate([m.ravel() for m in mats])
-    flat.setflags(write=False)
-    offsets.setflags(write=False)
-    return flat, offsets
+from .wavelets import support_basis
 
 
 def _floor_log2(t: int) -> int:
     return t.bit_length() - 1
 
 
-@njit(cache=True, nogil=True)
-def _prefix_kernel_numba(y, flat, offsets, sigma, delta, lam_override, use_mad, fold, out):
+def _prefix_kernel(y, family, sigma, delta, lam_override, use_mad, fold, out):
     T = y.shape[0]
     out[0] = y[0]
-    buf = np.empty(2 * (1 << (offsets.shape[0] - 2)))
-    for t in range(2, T + 1):
-        k = int(np.floor(np.log2(t)))
-        m = 1 << k
-        if use_mad and not fold and m < 4:
-            out[t - 1] = y[t - 1]
-            continue
-        if fold:
-            n_vec = 2 * m
-            W = flat[offsets[k + 1] : offsets[k + 1] + n_vec * n_vec].reshape(n_vec, n_vec)
-            window = buf[:n_vec]
-            for i in range(m):
-                window[i] = y[t - 1 - i]
-                window[m + i] = y[t - m + i]
-        else:
-            n_vec = m
-            W = flat[offsets[k] : offsets[k] + m * m].reshape(m, m)
-            window = y[t - m : t]
-        beta = np.dot(W, window)
-        if use_mad:
-            sig = np.median(np.abs(beta[n_vec // 2 :])) / MAD_SCALE
-        else:
-            sig = sigma
-        if lam_override >= 0.0:
-            lam = lam_override
-        elif sig == 0.0:
-            lam = 0.0
-        else:
-            lam = 2.0 * sig * math.sqrt(2.0 * math.log(math.log(m) / delta))
-        acc = 0.0
-        for i in range(n_vec):
-            b = beta[i]
-            mag = abs(b) - lam
-            if mag > 0.0:
-                acc += W[i, n_vec - 1] * (mag if b > 0.0 else -mag)
-        out[t - 1] = acc
-    return out
-
-
-def _prefix_kernel_numpy(y, flat, offsets, sigma, delta, lam_override, use_mad, fold, out):
-    T = y.shape[0]
-    out[0] = y[0]
-    max_level = _floor_log2(T)
-    for k in range(1, max_level + 1):
+    for k in range(1, _floor_log2(T) + 1):
         m = 1 << k
         lo_t, hi_t = m, min(2 * m - 1, T)
         if use_mad and not fold and m < 4:
             out[lo_t - 1 : hi_t] = y[lo_t - 1 : hi_t]
             continue
+        basis = support_basis(family, 2 * m if fold else m)
         windows = np.lib.stride_tricks.sliding_window_view(y, m)[: hi_t - m + 1]
-        if fold:
-            n_vec = 2 * m
-            W = flat[offsets[k + 1] : offsets[k + 1] + n_vec * n_vec].reshape(n_vec, n_vec)
-            windows = np.concatenate([windows[:, ::-1], windows], axis=1)
-        else:
-            n_vec = m
-            W = flat[offsets[k] : offsets[k] + m * m].reshape(m, m)
-        B = windows @ W.T
+        B = basis.coefficients(windows, fold=fold)
         if lam_override >= 0.0:
             lam = lam_override
         elif use_mad:
-            sig = np.median(np.abs(B[:, n_vec // 2 :]), axis=1) / MAD_SCALE
+            sig = np.median(np.abs(basis.finest(windows, fold=fold)), axis=1) / MAD_SCALE
             lam = (2.0 * math.sqrt(2.0 * math.log(math.log(m) / delta)) * sig)[:, None]
         elif sigma == 0.0:
             lam = 0.0
         else:
             lam = 2.0 * sigma * math.sqrt(2.0 * math.log(math.log(m) / delta))
         shrunk = np.sign(B) * np.maximum(np.abs(B) - lam, 0.0)
-        out[lo_t - 1 : hi_t] = shrunk @ W[:, n_vec - 1]
+        out[lo_t - 1 : hi_t] = shrunk @ basis.weights
     return out
 
 
@@ -159,7 +60,6 @@ def wavelet_prefix_estimates(
     delta: float,
     lam_override: float | None = None,
     boundary: str = "reflect",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T].
 
@@ -168,12 +68,14 @@ def wavelet_prefix_estimates(
     observation.  With ``sigma="mad"`` the noise scale is re-estimated per
     prefix; under the periodic boundary the raw observation is passed through
     while the window is too short (fewer than 4 points) to carry
-    finest-level coefficients worth a median.
+    finest-level coefficients worth a median.  NaN or infinite observations
+    raise :class:`NonFiniteValue`.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     T = len(y)
     if T == 0:
         return np.empty(0)
+    _require_finite(y)
     if boundary not in ("reflect", "periodic"):
         raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
     fold = boundary == "reflect"
@@ -187,13 +89,7 @@ def wavelet_prefix_estimates(
             raise DomainError(
                 f"delta = {delta} leaves the threshold undefined at window size 2"
             )
-    top = _floor_log2(T) + (1 if fold else 0)
-    flat, offsets = _flat_matrices(family, max(top, 1))
-    out = np.empty(T)
-    which = backend or active_backend()
-    if which == "numba":
-        return _prefix_kernel_numba(y, flat, offsets, sig, delta, lam, use_mad, fold, out)
-    return _prefix_kernel_numpy(y, flat, offsets, sig, delta, lam, use_mad, fold, out)
+    return _prefix_kernel(y, family, sig, delta, lam, use_mad, fold, np.empty(T))
 
 
 def prefix_estimates_reference(
@@ -201,7 +97,7 @@ def prefix_estimates_reference(
     lam_override: float | None = None, boundary: str = "reflect",
 ) -> np.ndarray:
     """Same contract as :func:`wavelet_prefix_estimates` via the public
-    estimator, one prefix at a time.  Slow; used to pin the kernels down."""
+    estimator, one prefix at a time.  Slow; used to pin the kernel down."""
     y = np.asarray(y, dtype=np.float64)
     out = np.empty(len(y))
     if len(y) == 0:

@@ -22,7 +22,7 @@ from . import _kernels
 from .baselines import adaptive_window_mean, fixed_window_mean, range_sigma_proxy
 from .denoise import default_lambda
 from .errors import LengthMismatch, NonFiniteValue, ParseError
-from .wavelets import cached_matrix, last_column_support
+from .wavelets import support_basis
 
 SIGNAL_RANGE = 1.5  # all generated signals stay within [-1.5, 1.5]
 STOCHASTIC_KINDS = ("random_coin", "piecewise_constant")
@@ -244,7 +244,7 @@ def load_estimates_csv(stream) -> np.ndarray:
         if t != len(values) + 1:
             raise ParseError(lineno, f"time must ascend from 1, got {t}")
         if not math.isfinite(est):
-            raise NonFiniteValue(lineno, f"estimate {row[1]!r} is not finite")
+            raise NonFiniteValue(f"estimate {row[1]!r} is not finite", line=lineno)
         values.append(est)
     return np.array(values)
 
@@ -410,14 +410,10 @@ def bound_profile(
             lo_t, hi_t = m, min(2 * m - 1, n)
             if lo_t > n:
                 break
-            W = cached_matrix(family, 2 * m if fold else m)
-            support = last_column_support(W)
-            idx = np.array([i for i, _ in support])
-            wts = 6.0 * np.array([w for _, w in support])
+            basis = support_basis(family, 2 * m if fold else m)
+            wts = 6.0 * np.abs(basis.weights)
             windows = np.lib.stride_tricks.sliding_window_view(theta, m)[: hi_t - m + 1]
-            if fold:
-                windows = np.concatenate([windows[:, ::-1], windows], axis=1)
-            coeff_abs = np.abs(windows @ W.rows[idx].T)  # (prefixes, |support|)
+            coeff_abs = np.abs(basis.coefficients(windows, fold=fold))  # (prefixes, |S|)
             for li, sigma in enumerate(sigmas):
                 lam = default_lambda(sigma, delta, m)
                 totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())

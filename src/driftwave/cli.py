@@ -73,7 +73,7 @@ def _read_series(path: str) -> np.ndarray:
         except ValueError:
             raise ParseError(lineno, f"bad value {cell!r}") from None
         if not np.isfinite(values[-1]):
-            raise NonFiniteValue(lineno, f"value {cell!r} is not finite")
+            raise NonFiniteValue(f"value {cell!r} is not finite", line=lineno)
     if not values:
         raise ParseError(1, "no observations found")
     return np.array(values)

@@ -15,14 +15,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError, NonDyadicLength, TooShort
+from .errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from .wavelets import (
     CoefficientVector,
-    TransformMatrix,
-    cached_matrix,
     finest_level_coeffs,
-    forward,
-    last_column_support,
+    get_family,
+    pyramid_analysis,
+    pyramid_synthesis,
+    support_basis,
 )
 
 # Consistency factor turning the median absolute deviation of Gaussian
@@ -151,48 +151,67 @@ def reflect_fold(window: np.ndarray) -> np.ndarray:
     return np.concatenate([window[::-1], window])
 
 
-def _denoised_coeffs(
-    y: np.ndarray, cfg: DenoiseConfig
-) -> tuple[np.ndarray, TransformMatrix, float, float, int]:
+def _require_finite(y: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)):
+        bad = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise NonFiniteValue(f"observation {bad} is {float(y[bad])}; need finite values")
+
+
+def _window(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) < 2:
         raise TooShort(f"need at least 2 observations, got {y.shape}")
-    window = dyadic_truncate(y)
-    n_used = len(window)
-    vec = reflect_fold(window) if cfg.boundary == "reflect" else window
-    W = cached_matrix(cfg.family, len(vec))
-    beta = forward(W, vec)
+    _require_finite(y)
+    return dyadic_truncate(y)
 
-    if cfg.lambda_override is not None:
-        lam = cfg.lambda_override
-        if isinstance(cfg.sigma, str):
-            sigma_used = mad_sigma(beta) if W.n >= 4 else 0.0
-        else:
-            sigma_used = float(cfg.sigma)
+
+def _threshold(cfg: DenoiseConfig, n_vec: int, n_used: int, finest) -> tuple[float, float]:
+    """(lambda, sigma_used) for a transform of length n_vec over n_used
+    observations; ``finest()`` gives the finest-level coefficients, which
+    are computed only when MAD needs them."""
+    if not isinstance(cfg.sigma, str):
+        sigma_used = float(cfg.sigma)
+    elif cfg.lambda_override is not None and n_vec < 4:
+        sigma_used = 0.0
+    elif n_vec < 4:
+        raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
     else:
-        sigma_used = mad_sigma(beta) if isinstance(cfg.sigma, str) else float(cfg.sigma)
-        lam = default_lambda(sigma_used, cfg.delta, n_used)
-
-    return soft_threshold(beta.values, lam), W, lam, sigma_used, n_used
+        sigma_used = float(np.median(np.abs(finest()))) / MAD_SCALE
+    if cfg.lambda_override is not None:
+        return cfg.lambda_override, sigma_used
+    return default_lambda(sigma_used, cfg.delta, n_used), sigma_used
 
 
 def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     """Estimate the newest ground-truth value from oldest-to-newest observations.
 
     The newest observation sits at the last coordinate of the transformed
-    window, so the estimate is the last coordinate of the reconstruction.
+    window, so the estimate is the last coordinate of the reconstruction:
+    only the coefficients in the window's support basis contribute.
     ``n_used`` reports the number of observations entering the window, not
     the transform length (which doubles under the reflect boundary).
+    NaN or infinite observations raise :class:`NonFiniteValue`.
     """
-    beta_hat, W, lam, sigma_used, n_used = _denoised_coeffs(y, cfg)
-    value = float(W.rows[:, -1] @ beta_hat)
+    window = _window(y)
+    n_used = len(window)
+    fold = cfg.boundary == "reflect"
+    basis = support_basis(cfg.family, 2 * n_used if fold else n_used)
+    lam, sigma_used = _threshold(
+        cfg, basis.n, n_used, lambda: basis.finest(window, fold=fold)
+    )
+    value = float(basis.weights @ soft_threshold(basis.coefficients(window, fold=fold), lam))
     return Estimate(value, float(lam), float(sigma_used), n_used)
 
 
 def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Denoised values aligned to the most recent ``n_used`` time-points."""
-    beta_hat, W, _, _, n_used = _denoised_coeffs(y, cfg)
-    return (W.rows.T @ beta_hat)[W.n - n_used :]
+    window = _window(y)
+    n_used = len(window)
+    vec = reflect_fold(window) if cfg.boundary == "reflect" else window
+    family = get_family(cfg.family)
+    beta = pyramid_analysis(family, vec)
+    lam, _ = _threshold(cfg, len(vec), n_used, lambda: beta[len(vec) // 2 :])
+    return pyramid_synthesis(family, soft_threshold(beta, lam))[len(vec) - n_used :]
 
 
 def sparsity_bound(
@@ -275,10 +294,11 @@ def bound_report(
     estimator uses (reflect-folded by default).
     """
     theta = _check_dyadic(theta)
-    vec = reflect_fold(theta) if boundary == "reflect" else theta
-    W = cached_matrix(family, len(vec))
+    fold = boundary == "reflect"
+    basis = support_basis(family, 2 * len(theta) if fold else len(theta))
     lam = default_lambda(sigma, delta, len(theta))
-    sparsity = sparsity_bound(forward(W, vec), last_column_support(W), lam)
+    coeff_abs = np.abs(basis.coefficients(theta, fold=fold))
+    sparsity = float(6.0 * np.minimum(coeff_abs, lam) @ np.abs(basis.weights))
     u, r_star, k, haar_bound = haar_variational_bound(theta, sigma, delta)
     tv_u, tv_r, _, tv_bound = tv_variational_bound(theta, sigma, delta)
     return BoundReport(sparsity, haar_bound, r_star, k, tv_bound, tv_r)

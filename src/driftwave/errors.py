@@ -50,8 +50,11 @@ class ParseError(DriftwaveError):
 
 
 class NonFiniteValue(DriftwaveError):
-    """NaN or infinite value where a finite number is required."""
+    """NaN or infinite value where a finite number is required.
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    ``line`` is the input-file line for parsers, None for library calls.
+    """
+
+    def __init__(self, message: str, *, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line

@@ -48,7 +48,8 @@ def select(
 
     ``clamp`` restricts each denoised estimate to the observed range of its
     own series (useful for losses with hard bounds); off by default so the
-    estimator is never silently clipped.
+    estimator is never silently clipped.  A NaN or infinite loss in any
+    series raises :class:`NonFiniteValue`.
     """
     if not panel:
         raise EmptyPanel("panel holds no loss series")
@@ -61,6 +62,8 @@ def select(
 
     scores = {}
     for series in panel:
+        if not np.all(np.isfinite(series.losses)):
+            raise NonFiniteValue(f"model {series.model_id!r} has a NaN or infinite loss")
         est = estimate_latest(series.losses, cfg)
         denoised = est.value
         if clamp:
@@ -110,7 +113,7 @@ def ingest_panel(stream) -> list[LossSeries]:
             except ValueError:
                 raise ParseError(lineno, f"bad loss value {cell!r}") from None
             if not math.isfinite(value):
-                raise NonFiniteValue(lineno, f"loss {cell!r} is not finite")
+                raise NonFiniteValue(f"loss {cell!r} is not finite", line=lineno)
             columns[ci].append(value)
 
     if not columns[0]:

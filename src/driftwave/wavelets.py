@@ -1,11 +1,18 @@
-"""Orthonormal discrete wavelet transform matrices with dyadic coefficient addressing.
+"""Orthonormal discrete wavelet transforms with dyadic coefficient addressing.
 
-The transform is realized as an explicit n x n orthonormal matrix built by
-cascading one-level periodized analysis matrices.  Row order is: the single
-approximation row first, then detail rows coarse-to-fine; within a level,
-positions run left to right (oldest to newest sample).  Materializing the
-matrix keeps support queries and bound computations exact at desk scale
-(n <= 4096); an O(n log n) fast path is deliberately not the contract.
+Two representations of one transform live here.  The dense reference,
+:func:`build_matrix`, materializes the n x n orthonormal matrix by
+cascading one-level periodized analysis matrices; it costs O(n**3) time and
+O(n**2) memory and serves as the oracle that tests compare against.  The
+computation goes through :class:`SupportBasis`: the latest-value estimator
+only needs the coefficients whose basis functions reach the newest sample,
+O(L log n) of them for a filter of L taps, and their rows are built by
+pyramid synthesis of unit coefficient vectors (Mallat 1989) in O(n L |S|)
+without forming anything of size n x n.
+
+Row order, shared by both: the single approximation row first, then detail
+rows coarse-to-fine; within a level, positions run left to right (oldest to
+newest sample).
 """
 
 from __future__ import annotations
@@ -269,3 +276,127 @@ def last_column_support(W: TransformMatrix) -> list[tuple[int, float]]:
 def finest_level_coeffs(beta: CoefficientVector) -> np.ndarray:
     """Detail coefficients at the highest resolution (level log2(n) - 1)."""
     return np.asarray(beta.values[beta.n // 2 :])
+
+
+# --- pyramid transform and the support basis ---------------------------------
+
+
+def _check_length(n: int) -> None:
+    if n < 2 or (n & (n - 1)) != 0:
+        raise NonPowerOfTwo(f"transform length must be 2**k with k >= 1, got {n}")
+
+
+def _filter_down(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Periodized filter-and-decimate along the last axis.
+
+    out[..., i] = sum_l taps[l] * x[..., (2i + l) % m]: the rows of one block
+    of :func:`_analysis_pair` applied to x, taps wrapping as often as needed.
+    """
+    m = x.shape[-1]
+    ext = x[..., np.arange(m + len(taps) - 2) % m]
+    out = taps[0] * ext[..., 0 : m - 1 : 2]
+    for l in range(1, len(taps)):
+        out += taps[l] * ext[..., l : l + m - 1 : 2]
+    return out
+
+
+def _filter_up(
+    approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Transpose of one analysis level: x with lo @ x = approx, hi @ x = detail."""
+    half = approx.shape[-1]
+    m = 2 * half
+    ext = np.zeros(approx.shape[:-1] + (m + len(h) - 2,))
+    for l in range(len(h)):
+        ext[..., l : l + m - 1 : 2] += h[l] * approx + g[l] * detail
+    out = ext[..., :m].copy()
+    for start in range(m, ext.shape[-1], m):  # fold the wrapped taps back
+        chunk = ext[..., start : start + m]
+        out[..., : chunk.shape[-1]] += chunk
+    return out
+
+
+def pyramid_analysis(family: WaveletFamily, x: np.ndarray) -> np.ndarray:
+    """Coefficients ``build_matrix(family, n).rows @ x`` along the last axis, in
+    O(n L) per vector; x may hold a batch of vectors in its leading axes."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_length(x.shape[-1])
+    h, g = family.filter, family.highpass()
+    details = []  # finest first
+    approx = x
+    while approx.shape[-1] >= 2:
+        details.append(_filter_down(approx, g))
+        approx = _filter_down(approx, h)
+    return np.concatenate([approx] + details[::-1], axis=-1)
+
+
+def pyramid_synthesis(family: WaveletFamily, beta: np.ndarray) -> np.ndarray:
+    """Exact inverse of :func:`pyramid_analysis` (``rows.T @ beta``)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    n = beta.shape[-1]
+    _check_length(n)
+    h, g = family.filter, family.highpass()
+    x = beta[..., :1]
+    m = 1
+    while m < n:
+        x = _filter_up(x, beta[..., m : 2 * m], h, g)
+        m *= 2
+    return x
+
+
+@dataclass(frozen=True)
+class SupportBasis:
+    """The transform rows that reach the newest sample of a length-n vector.
+
+    ``support`` holds the row indices i of the dense transform W with
+    ``|W[i, n-1]| > SUPPORT_EPS`` (ascending, as in
+    :func:`last_column_support`), ``weights`` the entries ``W[support, n-1]``
+    and ``rows`` the rows ``W[support, :]``.  For the reflect boundary, where
+    the transformed vector is ``[reversed(w), w]`` for a window w of length
+    n/2, ``folded`` absorbs the fold: ``folded @ w == rows @ [w[::-1], w]``.
+    """
+
+    family: WaveletFamily
+    n: int
+    support: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    folded: np.ndarray
+
+    def coefficients(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
+        """Support coefficients of each window along the last axis: of the
+        window itself (length n) or, with ``fold``, of its reflect fold
+        (window length n/2)."""
+        return windows @ (self.folded if fold else self.rows).T
+
+    def finest(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
+        """Finest-level detail coefficients (the last n/2 of the transform) of
+        each window, arranged as in :meth:`coefficients`."""
+        if fold:
+            windows = np.concatenate([windows[..., ::-1], windows], axis=-1)
+        return _filter_down(windows, self.family.highpass())
+
+
+@lru_cache(maxsize=64)
+def support_basis(family_name: str, n: int) -> SupportBasis:
+    """The :class:`SupportBasis` of ``family_name`` at transform length n.
+
+    The support is read off the pyramid analysis of the unit impulse at the
+    newest sample (that is the last column of W); each support row is the
+    pyramid synthesis of its unit coefficient vector.  Cost O(n |S| L).
+    """
+    family = get_family(family_name)
+    _check_length(n)
+    impulse = np.zeros(n)
+    impulse[-1] = 1.0
+    column = pyramid_analysis(family, impulse)
+    support = np.flatnonzero(np.abs(column) > SUPPORT_EPS)
+    units = np.zeros((len(support), n))
+    units[np.arange(len(support)), support] = 1.0
+    rows = pyramid_synthesis(family, units)
+    half = n // 2
+    folded = rows[:, :half][:, ::-1] + rows[:, half:]
+    arrays = (support, column[support], rows, np.ascontiguousarray(folded))
+    for a in arrays:
+        a.setflags(write=False)
+    return SupportBasis(family, n, *arrays)

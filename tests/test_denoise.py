@@ -20,7 +20,7 @@ from driftwave.denoise import (
     soft_threshold,
     tv_variational_bound,
 )
-from driftwave.errors import DomainError, NonDyadicLength, TooShort
+from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.wavelets import CoefficientVector, cached_matrix, forward, last_column_support
 
 
@@ -135,6 +135,14 @@ class TestEstimateLatest:
         est = estimate_latest(y, DenoiseConfig(sigma="mad"))
         assert 0.3 <= est.sigma_used <= 0.7
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sigma", ["mad", 0.1])
+    def test_non_finite_rejected(self, bad, sigma):
+        y = np.array([0.1] * 7 + [bad])
+        with pytest.raises(NonFiniteValue) as info:
+            estimate_latest(y, DenoiseConfig(sigma=sigma))
+        assert info.value.line is None
+
 
 class TestDenoiseSignal:
     def test_lambda_zero_identity(self):
@@ -155,6 +163,13 @@ class TestDenoiseSignal:
         out = denoise_signal(np.ones(n), cfg)
         lam = default_lambda(0.1, 0.1, n)
         assert np.abs(out - 1.0).max() <= lam / math.sqrt(n)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        y = np.ones(16)
+        y[3] = bad
+        with pytest.raises(NonFiniteValue):
+            denoise_signal(y, DenoiseConfig(sigma="mad"))
 
 
 class TestMadSigma:

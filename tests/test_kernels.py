@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from driftwave import _kernels
-from driftwave._kernels import (
-    active_backend,
-    prefix_estimates_reference,
-    wavelet_prefix_estimates,
-)
-from driftwave.errors import DomainError
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
+from driftwave._kernels import prefix_estimates_reference, wavelet_prefix_estimates
+from driftwave.errors import DomainError, NonFiniteValue
 
 
 @pytest.fixture(scope="module")
@@ -18,43 +11,42 @@ def noisy_series():
     return rng.normal(0.4, 0.3, 260)
 
 
+# The kernel takes any array-like; each parity case feeds the same series as a
+# numpy array and as a plain list.
+INPUTS = pytest.mark.parametrize("as_input", [np.asarray, list], ids=["numpy", "list"])
+
+
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    """The one kernel path against the per-prefix public estimator."""
+
+    @INPUTS
     @pytest.mark.parametrize("family", ["haar", "db8"])
     @pytest.mark.parametrize("sigma", [0.3, "mad", 0.0])
-    def test_matches_public_estimator(self, noisy_series, backend, family, sigma):
+    def test_matches_public_estimator(self, noisy_series, as_input, family, sigma):
         ref = prefix_estimates_reference(noisy_series, family, sigma=sigma, delta=0.1)
-        got = wavelet_prefix_estimates(
-            noisy_series, family, sigma=sigma, delta=0.1, backend=backend
-        )
+        got = wavelet_prefix_estimates(as_input(noisy_series), family, sigma=sigma, delta=0.1)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @INPUTS
     @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
-    def test_boundary_modes(self, noisy_series, backend, boundary):
+    def test_boundary_modes(self, noisy_series, as_input, boundary):
         ref = prefix_estimates_reference(
             noisy_series, "db4", sigma=0.3, delta=0.1, boundary=boundary
         )
         got = wavelet_prefix_estimates(
-            noisy_series, "db4", sigma=0.3, delta=0.1, boundary=boundary, backend=backend
+            as_input(noisy_series), "db4", sigma=0.3, delta=0.1, boundary=boundary
         )
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lambda_override(self, noisy_series, backend):
+    @INPUTS
+    def test_lambda_override(self, noisy_series, as_input):
         ref = prefix_estimates_reference(
             noisy_series, "haar", sigma=0.3, delta=0.1, lam_override=0.25
         )
         got = wavelet_prefix_estimates(
-            noisy_series, "haar", sigma=0.3, delta=0.1, lam_override=0.25, backend=backend
+            as_input(noisy_series), "haar", sigma=0.3, delta=0.1, lam_override=0.25
         )
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-    def test_backends_agree_with_each_other(self, noisy_series):
-        a = wavelet_prefix_estimates(noisy_series, "db8", sigma="mad", delta=0.1, backend="numba")
-        b = wavelet_prefix_estimates(noisy_series, "db8", sigma="mad", delta=0.1, backend="numpy")
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 class TestEdgeCases:
@@ -74,6 +66,14 @@ class TestEdgeCases:
         with pytest.raises(DomainError):
             wavelet_prefix_estimates(np.zeros(8), "haar", sigma=0.3, delta=0.8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("sigma", [0.3, "mad"])
+    def test_non_finite_rejected(self, noisy_series, bad, sigma):
+        y = noisy_series.copy()
+        y[100] = bad
+        with pytest.raises(NonFiniteValue):
+            wavelet_prefix_estimates(y, "db8", sigma=sigma, delta=0.1)
+
     def test_bad_sigma_string(self):
         with pytest.raises(ValueError):
             wavelet_prefix_estimates(np.zeros(8), "haar", sigma="median", delta=0.1)
@@ -81,42 +81,3 @@ class TestEdgeCases:
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
             wavelet_prefix_estimates(np.zeros(8), "haar", sigma=0.3, delta=0.1, boundary="pad")
-
-
-class TestBackendSelection:
-    def test_env_flag_numpy(self, monkeypatch):
-        monkeypatch.setenv("DRIFTWAVE_BACKEND", "numpy")
-        assert active_backend() == "numpy"
-
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-    def test_env_flag_numba(self, monkeypatch):
-        monkeypatch.setenv("DRIFTWAVE_BACKEND", "numba")
-        assert active_backend() == "numba"
-
-    def test_default_backend(self, monkeypatch):
-        monkeypatch.delenv("DRIFTWAVE_BACKEND", raising=False)
-        assert active_backend() == "numpy"
-
-    def test_package_works_without_numba(self):
-        # block the numba import and drive an estimate end to end
-        import subprocess
-        import sys
-
-        code = (
-            "import sys; sys.modules['numba'] = None\n"
-            "import numpy as np\n"
-            "from driftwave._kernels import HAS_NUMBA, wavelet_prefix_estimates\n"
-            "assert not HAS_NUMBA\n"
-            "out = wavelet_prefix_estimates(np.ones(32), 'db2', sigma=0.1, delta=0.1)\n"
-            "assert np.all(np.isfinite(out))\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_env_flag_routes_computation(self, monkeypatch, noisy_series):
-        monkeypatch.setenv("DRIFTWAVE_BACKEND", "numpy")
-        a = wavelet_prefix_estimates(noisy_series, "haar", sigma=0.3, delta=0.1)
-        b = wavelet_prefix_estimates(noisy_series, "haar", sigma=0.3, delta=0.1, backend="numpy")
-        np.testing.assert_array_equal(a, b)

@@ -55,6 +55,12 @@ class TestSelect:
         second = select(panel_from({k: v for k, v in scaled.items()}), DenoiseConfig(sigma=a * sigma))
         assert first.chosen == second.chosen
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_non_finite_loss_rejected_in_any_panel_order(self, order):
+        panel = panel_from({"b": [0.1] * 7 + [float("nan")], "a": [0.5] * 8})[::order]
+        with pytest.raises(NonFiniteValue, match="'b'"):
+            select(panel, DenoiseConfig(family="db8", sigma="mad"))
+
     def test_affine_invariance_mad_sigma(self):
         rng = np.random.default_rng(3)
         panel_data = {f"m{i}": rng.uniform(0.5, 2.0, 32) for i in range(4)}

@@ -1,0 +1,203 @@
+"""The support basis and every path built on it, pinned to the dense matrix.
+
+The reference computations here use only ``build_matrix`` (the explicit
+n x n transform), never the support basis, so a fault in the pyramid
+transform cannot hide behind itself.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import driftwave
+from driftwave import _kernels, bench, cli, denoise, selection, tvstudy, wavelets
+from driftwave.denoise import MAD_SCALE, DenoiseConfig, default_lambda, reflect_fold
+from driftwave.errors import TooShort
+from driftwave.wavelets import (
+    FAMILY_NAMES,
+    build_matrix,
+    get_family,
+    last_column_support,
+    pyramid_analysis,
+    pyramid_synthesis,
+    support_basis,
+)
+
+TOL = 1e-10
+DENSE_SIZES = [1 << k for k in range(1, 12)]  # 2 .. 2048
+
+
+@lru_cache(maxsize=16)
+def dense(family: str, n: int) -> wavelets.TransformMatrix:
+    return build_matrix(get_family(family), n)
+
+
+def dense_denoise(y, family, sigma, delta, lam_override=None, boundary="reflect"):
+    """(reconstruction of the transformed vector, lambda, sigma_used, n_used)
+    with the dense matrix: the estimator's contract, written out directly."""
+    y = np.asarray(y, dtype=np.float64)
+    n_used = 1 << (len(y).bit_length() - 1)
+    window = y[len(y) - n_used :]
+    vec = np.concatenate([window[::-1], window]) if boundary == "reflect" else window
+    W = dense(family, len(vec)).rows
+    beta = W @ vec
+    if sigma != "mad":
+        sig = float(sigma)
+    elif lam_override is not None and len(vec) < 4:
+        sig = 0.0
+    elif len(vec) < 4:
+        raise TooShort("MAD needs 4 coefficients")
+    else:
+        sig = float(np.median(np.abs(beta[len(vec) // 2 :]))) / MAD_SCALE
+    lam = default_lambda(sig, delta, n_used) if lam_override is None else lam_override
+    shrunk = np.sign(beta) * np.maximum(np.abs(beta) - lam, 0.0)
+    return W.T @ shrunk, lam, sig, n_used
+
+
+def dense_prefix_estimates(y, family, sigma, delta, lam_override=None, boundary="reflect"):
+    out = np.empty(len(y))
+    for t in range(1, len(y) + 1):
+        periodic_mad_passthrough = sigma == "mad" and boundary == "periodic" and t < 4
+        if t == 1 or periodic_mad_passthrough:
+            out[t - 1] = y[t - 1]
+        else:
+            out[t - 1] = dense_denoise(y[:t], family, sigma, delta, lam_override, boundary)[0][-1]
+    return out
+
+
+def drifting_series(seed: int, T: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    t = np.arange(T) / max(T, 1)
+    level = rng.uniform(-2.0, 2.0) * np.sin(2 * np.pi * rng.uniform(0.5, 4.0) * t)
+    return level + rng.normal(0.0, rng.uniform(0.05, 1.0), T)
+
+
+sigmas = st.one_of(st.just("mad"), st.just(0.0), st.floats(0.01, 2.0))
+lam_overrides = st.one_of(st.none(), st.floats(0.0, 2.0))
+boundaries = st.sampled_from(["reflect", "periodic"])
+families = st.sampled_from(FAMILY_NAMES)
+
+
+class TestBasisMatchesDense:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_support_weights_and_rows(self, family):
+        rng = np.random.default_rng(3)
+        for n in DENSE_SIZES:  # includes n shorter than the filter
+            matrix = build_matrix(get_family(family), n)
+            W = matrix.rows
+            basis = support_basis(family, n)
+            assert list(basis.support) == [i for i, _ in last_column_support(matrix)], n
+            np.testing.assert_allclose(basis.weights, W[basis.support, -1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(basis.rows, W[basis.support], rtol=0, atol=1e-12)
+            w = rng.normal(size=n // 2)
+            np.testing.assert_allclose(
+                basis.coefficients(w, fold=True), W[basis.support] @ np.r_[w[::-1], w],
+                rtol=0, atol=TOL,
+            )
+            x = rng.normal(size=n)
+            np.testing.assert_allclose(
+                basis.finest(x, fold=False), (W @ x)[n // 2 :], rtol=0, atol=TOL
+            )
+
+    @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
+    @pytest.mark.parametrize("n", [2, 4, 16, 256])
+    def test_pyramid_matches_dense_transform(self, family, n):
+        W = dense(family, n).rows
+        x = np.random.default_rng(n).normal(size=(3, n))
+        np.testing.assert_allclose(pyramid_analysis(get_family(family), x), x @ W.T, atol=1e-12)
+        np.testing.assert_allclose(pyramid_synthesis(get_family(family), x), x @ W, atol=1e-12)
+
+    def test_support_is_logarithmic(self):
+        # one coefficient per level plus the approximation for Haar
+        assert len(support_basis("haar", 2048).support) == 12
+        assert len(support_basis("db8", 2048).support) == 101
+
+
+class TestKernelMatchesDense:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
+        boundary=boundaries, sigma=sigmas, lam=lam_overrides,
+        delta=st.sampled_from([0.05, 0.1, 0.3]),
+    )
+    def test_prefix_estimates(self, seed, T, family, boundary, sigma, lam, delta):
+        y = drifting_series(seed, T)
+        got = _kernels.wavelet_prefix_estimates(
+            y, family, sigma=sigma, delta=delta, lam_override=lam, boundary=boundary
+        )
+        ref = dense_prefix_estimates(y, family, sigma, delta, lam, boundary)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
+
+
+class TestEstimatorMatchesDense:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(2, 1023), family=families,
+        boundary=boundaries, sigma=sigmas, lam=lam_overrides,
+    )
+    def test_estimate_latest_and_denoise_signal(self, seed, T, family, boundary, sigma, lam):
+        y = drifting_series(seed, T)
+        cfg = DenoiseConfig(
+            family=family, sigma=sigma, delta=0.1, lambda_override=lam, boundary=boundary
+        )
+        try:
+            recon, lam_ref, sig_ref, n_used = dense_denoise(y, family, sigma, 0.1, lam, boundary)
+        except TooShort:
+            with pytest.raises(TooShort):
+                denoise.estimate_latest(y, cfg)
+            with pytest.raises(TooShort):
+                denoise.denoise_signal(y, cfg)
+            return
+        est = denoise.estimate_latest(y, cfg)
+        assert abs(est.value - recon[-1]) <= TOL
+        assert abs(est.lambda_used - lam_ref) <= TOL
+        assert abs(est.sigma_used - sig_ref) <= TOL
+        assert est.n_used == n_used
+        np.testing.assert_allclose(
+            denoise.denoise_signal(y, cfg), recon[len(recon) - n_used :], rtol=0, atol=TOL
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9), family=families,
+        boundary=boundaries, sigma=st.floats(0.0, 2.0),
+    )
+    def test_bound_report_sparsity(self, seed, k, family, boundary, sigma):
+        theta = drifting_series(seed, 1 << k)
+        vec = reflect_fold(theta) if boundary == "reflect" else theta
+        W = dense(family, len(vec))
+        lam = default_lambda(sigma, 0.1, len(theta))
+        ref = denoise.sparsity_bound(wavelets.forward(W, vec), last_column_support(W), lam)
+        got = denoise.bound_report(theta, sigma, 0.1, family, boundary).sparsity
+        assert abs(got - ref) <= TOL * max(1.0, abs(ref))
+
+
+def test_no_hot_path_builds_a_dense_transform(monkeypatch):
+    """Every estimator and bound path runs with the dense builders disabled."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense n x n transform was built")
+
+    for module in (wavelets, denoise, _kernels, bench, tvstudy, selection, cli, driftwave):
+        for name in ("build_matrix", "cached_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+    spec = tvstudy.TVStudySpec(tv_radius=1.0, sigma=1.0, n_grid=(64, 128), trials=2)
+    assert np.isfinite(tvstudy.run_tv_study(spec, 0).exponent_sq)
+
+    rng = np.random.default_rng(0)
+    panel = [selection.LossSeries(f"m{i}", 0.3 + rng.normal(0, 0.02, 300)) for i in range(3)]
+    selection.select(panel, DenoiseConfig(family="db8", sigma="mad"))
+
+    noise = bench.NoiseSpec("uniform", (0.2, 0.5))
+    methods = [bench.WaveletMethod("db8"), bench.WaveletMethod("haar", "mad")]
+    bench.run_online_eval(bench.SignalSpec("doppler", 200), noise, methods, 2, 0)
+
+    theta = bench.generate_signal(bench.SignalSpec("doppler", 128), 0)
+    bench.bound_profile(theta, noise, ("haar", "db8"))
+    denoise.bound_report(theta, 0.3, 0.1, "db8")
+    denoise.denoise_signal(theta + rng.normal(0, 0.1, 128), DenoiseConfig(family="db4"))
