@@ -3,7 +3,15 @@ signal, with pointwise error-bound calculators, window-averaging baselines,
 a synthetic benchmark harness, a TV-class risk-scaling study, and model
 selection over drifting validation losses."""
 
-from .baselines import WindowEstimate, adaptive_window_mean, fixed_window_mean, range_sigma_proxy
+from .baselines import (
+    WindowEstimate,
+    WindowSweep,
+    adaptive_window_mean,
+    adaptive_window_sweep,
+    fixed_window_mean,
+    fixed_window_sweep,
+    range_sigma_proxy,
+)
 from .bench import (
     AdaptiveWindowMethod,
     BoundProfile,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .baselines import adaptive_window_mean, fixed_window_mean, range_sigma_proxy
-from .denoise import default_lambda
+from .baselines import adaptive_window_sweep, fixed_window_sweep
+from .denoise import _require_finite, default_lambda
 from .errors import LengthMismatch, NonFiniteValue, ParseError
 from .wavelets import support_basis
 
@@ -164,7 +164,8 @@ class WaveletMethod:
 
 
 class AdaptiveWindowMethod:
-    """Doubling-window mean, re-run on every prefix."""
+    """Doubling-window mean of every prefix; the ``proxy`` sigma of prefix
+    y[:t] is half its observed range (``range_sigma_proxy``)."""
 
     def __init__(self, sigma_mode: str = "known", name: str | None = None):
         if sigma_mode not in ("known", "proxy"):
@@ -173,13 +174,11 @@ class AdaptiveWindowMethod:
         self.name = name or ("avg" if sigma_mode == "known" else "avg_proxy")
 
     def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
-        out = np.empty(len(y))
-        out[0] = y[0]
-        for t in range(2, len(y) + 1):
-            prefix = y[:t]
-            sigma = known_sigma if self.sigma_mode == "known" else range_sigma_proxy(prefix)
-            out[t - 1] = adaptive_window_mean(prefix, sigma, delta).value
-        return out
+        sigma = known_sigma
+        if self.sigma_mode == "proxy":
+            y = np.asarray(y, dtype=np.float64)
+            sigma = (np.maximum.accumulate(y) - np.minimum.accumulate(y)) / 2.0
+        return adaptive_window_sweep(y, sigma, delta).values
 
 
 class FixedWindowMethod:
@@ -192,10 +191,7 @@ class FixedWindowMethod:
         self.name = name or f"window{window}"
 
     def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
-        out = np.empty(len(y))
-        for t in range(1, len(y) + 1):
-            out[t - 1] = fixed_window_mean(y[:t], min(self.window, t)).value
-        return out
+        return fixed_window_sweep(y, self.window).values
 
 
 class PassthroughMethod:
@@ -399,6 +395,7 @@ def bound_profile(
     n = len(theta)
     if n < 2:
         raise LengthMismatch("need at least 2 ground-truth points")
+    _require_finite(theta)
     fold = boundary == "reflect"
     sigmas = [noise.known_sigma(level) for level in noise.levels]
     values = np.zeros((len(families), len(noise.levels)))

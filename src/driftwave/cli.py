@@ -18,16 +18,7 @@ import numpy as np
 
 from .bench import NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method, run_online_eval
 from .denoise import DenoiseConfig, denoise_signal, estimate_latest
-from .errors import (
-    DomainError,
-    DriftwaveError,
-    EmptyPanel,
-    LengthMismatch,
-    NonFiniteValue,
-    ParseError,
-    RaggedPanel,
-    TooShort,
-)
+from .errors import DomainError, DriftwaveError, NonFiniteValue, ParseError
 from .selection import ingest_panel, select
 from .tvstudy import TVStudySpec, run_tv_study
 
@@ -37,17 +28,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
-_INPUT_ERRORS = (
-    ParseError,
-    NonFiniteValue,
-    RaggedPanel,
-    EmptyPanel,
-    TooShort,
-    LengthMismatch,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-)
+# Every library error other than DomainError is a problem with the input.
+_INPUT_ERRORS = (DriftwaveError, FileNotFoundError, IsADirectoryError, PermissionError)
 
 
 class _ConfigError(Exception):
@@ -341,17 +323,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _ConfigError as exc:
-        log.error("%s", exc)
-        print(f"driftwave: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainError,) as exc:
+    except (_ConfigError, DomainError) as exc:
+        if isinstance(exc, _ConfigError):
+            log.error("%s", exc)
         print(f"driftwave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _INPUT_ERRORS as exc:
-        print(f"driftwave: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DriftwaveError as exc:
         print(f"driftwave: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

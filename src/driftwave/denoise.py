@@ -62,6 +62,10 @@ class DenoiseConfig:
             raise ValueError(f"unsupported truncation policy {self.truncation!r}")
         if self.boundary not in ("reflect", "periodic"):
             raise ValueError(f"boundary must be 'reflect' or 'periodic', got {self.boundary!r}")
+        try:
+            get_family(self.family)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -228,6 +232,7 @@ def _check_dyadic(theta: np.ndarray) -> np.ndarray:
     n = len(theta)
     if n < 2 or (n & (n - 1)) != 0:
         raise NonDyadicLength(f"ground truth length must be a power of two >= 2, got {n}")
+    _require_finite(theta)
     return theta
 
 

@@ -1,12 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftwave import baselines
 from driftwave.baselines import (
     adaptive_window_mean,
+    adaptive_window_sweep,
     fixed_window_mean,
+    fixed_window_sweep,
     range_sigma_proxy,
 )
-from driftwave.errors import BadWindow
+from driftwave.bench import AdaptiveWindowMethod, FixedWindowMethod
+from driftwave.errors import BadWindow, NonFiniteValue
 
 
 class TestFixedWindowMean:
@@ -89,3 +97,124 @@ class TestSigmaProxy:
 
     def test_constant(self):
         assert range_sigma_proxy(np.full(5, 2.2)) == 0.0
+
+
+# --- whole-series sweeps against the scalar scans ----------------------------
+
+TOL = 1e-10
+
+
+def sweep_series(kind: str, seed: int, T: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(T, rng.choice([0.0, 0.1, 1.0 / 3.0, -7.25]))
+    if kind == "near_constant":
+        return 0.1 + rng.normal(0.0, 1e-12, T)
+    drift = np.cumsum(rng.normal(0.0, rng.uniform(0.0, 0.2), T))
+    y = drift + rng.normal(0.0, rng.uniform(0.05, 1.0), T)
+    return y + rng.uniform(-1e6, 1e6) if kind == "offset" else y
+
+
+def value_tol(y: np.ndarray) -> float:
+    # np.mean itself rounds at the scale of the series
+    return TOL * max(1.0, float(np.abs(y).max()))
+
+
+series_kinds = st.sampled_from(["drifting", "constant", "near_constant", "offset"])
+known_sigmas = st.one_of(st.just(0.0), st.floats(1e-15, 1e-9), st.floats(0.01, 2.0))
+
+
+class TestAdaptiveWindowSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), kind=series_kinds,
+        sigma=st.one_of(known_sigmas, st.just("proxy")),
+        delta=st.sampled_from([0.05, 0.1, 0.3]),
+    )
+    def test_matches_scalar_scan_on_every_prefix(self, seed, T, kind, sigma, delta):
+        y = sweep_series(kind, seed, T)
+        if sigma == "proxy":
+            sigmas = [range_sigma_proxy(y[:t]) for t in range(1, T + 1)]
+            sweep = adaptive_window_sweep(y, np.array(sigmas), delta)
+            method = AdaptiveWindowMethod("proxy").prefix_estimates(y, 0.0, delta)
+        else:
+            sigmas = [sigma] * T
+            sweep = adaptive_window_sweep(y, sigma, delta)
+            method = AdaptiveWindowMethod("known").prefix_estimates(y, sigma, delta)
+        np.testing.assert_array_equal(method, sweep.values)
+        tol = value_tol(y)
+        for t in range(1, T + 1):
+            ref = adaptive_window_mean(y[:t], sigmas[t - 1], delta)
+            assert sweep.windows[t - 1] == ref.window, t
+            assert abs(sweep.values[t - 1] - ref.value) <= tol, t
+
+    def test_borderline_prefixes_fall_back_to_scalar_scan(self, monkeypatch):
+        # With sigma = 0 every doubling test compares a rounding-level
+        # difference against 0, so every prefix is re-decided.
+        calls = []
+        scalar = baselines.adaptive_window_mean
+
+        def counting(y, sigma, delta):
+            calls.append(len(y))
+            return scalar(y, sigma, delta)
+
+        monkeypatch.setattr(baselines, "adaptive_window_mean", counting)
+        y = np.full(100, 0.1)
+        sweep = adaptive_window_sweep(y, 0.0, 0.1)
+        assert sweep.rechecked == 99
+        assert calls == list(range(2, 101))
+        for t in range(1, 101):
+            ref = scalar(y[:t], 0.0, 0.1)
+            assert sweep.windows[t - 1] == ref.window
+            assert sweep.values[t - 1] == ref.value
+
+    def test_clear_margins_need_no_fallback(self):
+        y = np.random.default_rng(4).normal(0.0, 0.5, 500)
+        assert adaptive_window_sweep(y, 0.5, 0.1).rechecked == 0
+
+    def test_single_observation(self):
+        sweep = adaptive_window_sweep([3.0], 1.0, 0.1)
+        assert sweep.values.tolist() == [3.0] and sweep.windows.tolist() == [1]
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            adaptive_window_sweep(np.ones(4), -1.0, 0.1)
+        with pytest.raises(ValueError):
+            adaptive_window_sweep(np.ones(4), [0.1, 0.1, math.nan, 0.1], 0.1)
+        with pytest.raises(ValueError):
+            adaptive_window_sweep(np.ones(4), 1.0, 1.0)
+        with pytest.raises(BadWindow):
+            adaptive_window_sweep(np.empty(0), 1.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteValue):
+            adaptive_window_sweep(np.array([0.1] * 7 + [bad]), 0.3, 0.1)
+
+
+class TestFixedWindowSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), kind=series_kinds,
+        data=st.data(),
+    )
+    def test_matches_scalar_mean_on_every_prefix(self, seed, T, kind, data):
+        w = data.draw(st.integers(1, T + 5))
+        y = sweep_series(kind, seed, T)
+        sweep = fixed_window_sweep(y, w)
+        np.testing.assert_array_equal(
+            FixedWindowMethod(w).prefix_estimates(y, 0.0, 0.1), sweep.values
+        )
+        tol = value_tol(y)
+        for t in range(1, T + 1):
+            ref = fixed_window_mean(y[:t], min(w, t))
+            assert sweep.windows[t - 1] == ref.window, t
+            assert abs(sweep.values[t - 1] - ref.value) <= tol, t
+
+    def test_parameter_validation(self):
+        with pytest.raises(BadWindow):
+            fixed_window_sweep(np.ones(4), 0)
+        with pytest.raises(BadWindow):
+            fixed_window_sweep(np.empty(0), 2)
+        with pytest.raises(NonFiniteValue):
+            fixed_window_sweep(np.array([1.0, math.inf]), 2)

@@ -242,6 +242,12 @@ class TestBoundProfile:
         prof = bound_profile(theta, NoiseSpec("uniform", (0.0,)), ("haar", "db8"))
         assert prof.values.max() == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_truth_rejected(self, bad):
+        theta = np.array([0.1] * 7 + [bad])
+        with pytest.raises(NonFiniteValue):
+            bound_profile(theta, NoiseSpec("uniform", (0.3,)), ("haar",))
+
     def test_csv_shape(self):
         theta = np.ones(16)
         prof = bound_profile(theta, NoiseSpec("uniform", (0.1, 0.2)), ("haar", "db2"))

@@ -54,6 +54,14 @@ class TestEstimate:
         proc = run_cli("estimate", str(path), "--delta", "1.5")
         assert proc.returncode == 3
 
+    def test_unknown_family_is_config_error(self, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("1.0\n2.0\n3.0\n")
+        proc = run_cli("estimate", str(path), "--family", "db9", "--sigma", "0.1")
+        assert proc.returncode == 3
+        assert "driftwave: config error: unknown wavelet family 'db9'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_matches_library_bit_exactly(self, doppler_noisy):
         path, y = doppler_noisy
         sigma = 0.2 / np.sqrt(3)
@@ -191,6 +199,14 @@ class TestSelect:
         assert payload["chosen"] == "A"
         assert payload["scores"]["A"]["raw"] == 1.0
         assert payload["config"]["family"] == "haar"
+
+    def test_unknown_family_is_config_error(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("t,A,B\n1,1.0,2.0\n2,1.0,2.0\n")
+        proc = run_cli("select", str(path), "--family", "db9")
+        assert proc.returncode == 3
+        assert "driftwave: config error: unknown wavelet family 'db9'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_ragged_panel_is_input_error(self, tmp_path):
         path = tmp_path / "panel.csv"

@@ -301,6 +301,14 @@ class TestVariationalBounds:
         with pytest.raises(NonDyadicLength):
             tv_variational_bound(np.zeros(100), 0.1, 0.1)
 
+    @pytest.mark.parametrize(
+        "bound", [bound_report, haar_variational_bound, tv_variational_bound]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_truth_rejected(self, bound, bad):
+        with pytest.raises(NonFiniteValue):
+            bound(np.array([0.1] * 7 + [bad]), 0.3, 0.1)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_dominance_on_random_piecewise_signals(self, seed):
@@ -343,6 +351,8 @@ class TestHelpers:
             DenoiseConfig(sigma="median")
         with pytest.raises(ValueError):
             DenoiseConfig(lambda_override=-1.0)
+        with pytest.raises(ValueError, match="unknown wavelet family 'db9'"):
+            DenoiseConfig(family="db9")
         with pytest.raises(ValueError):
             DenoiseConfig(boundary="zero")
         with pytest.raises(ValueError):

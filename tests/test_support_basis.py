@@ -175,6 +175,66 @@ class TestEstimatorMatchesDense:
         assert abs(got - ref) <= TOL * max(1.0, abs(ref))
 
 
+def estimates(y, family, sigma, boundary, lam=None):
+    """(prefix-kernel estimates, estimate_latest value or None when y has
+    too few points for it or for a MAD sigma)."""
+    kernel = _kernels.wavelet_prefix_estimates(
+        y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+    )
+    if len(y) < 2:
+        return kernel, None
+    cfg = DenoiseConfig(
+        family=family, sigma=sigma, delta=0.1, lambda_override=lam, boundary=boundary
+    )
+    try:
+        return kernel, denoise.estimate_latest(y, cfg).value
+    except TooShort:
+        return kernel, None
+
+
+class TestKernelProperties:
+    """Symmetries of the estimator, for the prefix kernel and estimate_latest."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
+        boundary=boundaries, sigma=sigmas, a=st.floats(1e-3, 1e3),
+    )
+    def test_scale_equivariance(self, seed, T, family, boundary, sigma, a):
+        y = drifting_series(seed, T)
+        scaled_sigma = sigma if sigma == "mad" else a * sigma
+        kernel, latest = estimates(y, family, sigma, boundary)
+        kernel_a, latest_a = estimates(a * y, family, scaled_sigma, boundary)
+        np.testing.assert_allclose(kernel_a, a * kernel, rtol=0, atol=TOL * a)
+        if latest is not None:
+            assert abs(latest_a - a * latest) <= TOL * a
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
+        boundary=boundaries, sigma=sigmas,
+    )
+    def test_odd_symmetry(self, seed, T, family, boundary, sigma):
+        y = drifting_series(seed, T)
+        kernel, latest = estimates(y, family, sigma, boundary)
+        kernel_neg, latest_neg = estimates(-y, family, sigma, boundary)
+        np.testing.assert_allclose(kernel_neg, -kernel, rtol=0, atol=TOL)
+        if latest is not None:
+            assert abs(latest_neg + latest) <= TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
+        boundary=boundaries, sigma=sigmas,
+    )
+    def test_zero_lambda_returns_newest_observation(self, seed, T, family, boundary, sigma):
+        y = drifting_series(seed, T)
+        kernel, latest = estimates(y, family, sigma, boundary, lam=0.0)
+        np.testing.assert_allclose(kernel, y, rtol=0, atol=TOL)
+        if T >= 2:
+            assert abs(latest - y[-1]) <= TOL
+
+
 def test_no_hot_path_builds_a_dense_transform(monkeypatch):
     """Every estimator and bound path runs with the dense builders disabled."""
 
