@@ -409,8 +409,7 @@ def bound_profile(
                 break
             basis = support_basis(family, 2 * m if fold else m)
             wts = 6.0 * np.abs(basis.weights)
-            windows = np.lib.stride_tricks.sliding_window_view(theta, m)[: hi_t - m + 1]
-            coeff_abs = np.abs(basis.coefficients(windows, fold=fold))  # (prefixes, |S|)
+            coeff_abs = np.abs(basis.sliding(theta, hi_t - m + 1, fold=fold))  # (prefixes, |S|)
             for li, sigma in enumerate(sigmas):
                 lam = default_lambda(sigma, delta, m)
                 totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())

@@ -9,10 +9,6 @@ class NonPowerOfTwo(DriftwaveError):
     """Transform length must be 2**k with k >= 1."""
 
 
-class FilterTooLongForSignal(DriftwaveError):
-    """Raised in strict (non-wrapping) mode when the filter exceeds the signal."""
-
-
 class LengthMismatch(DriftwaveError):
     """Vector length does not match the transform size."""
 

@@ -8,7 +8,10 @@ computation goes through :class:`SupportBasis`: the latest-value estimator
 only needs the coefficients whose basis functions reach the newest sample,
 O(L log n) of them for a filter of L taps, and their rows are built by
 pyramid synthesis of unit coefficient vectors (Mallat 1989) in O(n L |S|)
-without forming anything of size n x n.
+without forming anything of size n x n.  One window's coefficients are a
+product with those rows; :meth:`SupportBasis.sliding` gives those of up to m
+consecutive length-m windows of a series as one FFT correlation with the
+rows, O(|S| m log m) rather than O(|S| m**2) for the stacked windows.
 
 Row order, shared by both: the single approximation row first, then detail
 rows coarse-to-fine; within a level, positions run left to right (oldest to
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FilterTooLongForSignal, LengthMismatch, NonPowerOfTwo
+from .errors import LengthMismatch, NonPowerOfTwo
 
 # Minimum-phase Daubechies low-pass taps, normalized so the taps sum to
 # sqrt(2).  DBk has k vanishing moments and 2k taps; Haar is DB1.  Values
@@ -204,25 +207,19 @@ def _analysis_pair(family: WaveletFamily, m: int) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def build_matrix(family: WaveletFamily, n: int, *, wrap: bool = True) -> TransformMatrix:
+def build_matrix(family: WaveletFamily, n: int) -> TransformMatrix:
     """Construct the n x n orthonormal transform matrix for ``family``.
 
     Args:
         family: wavelet family (see :func:`get_family`).
-        n: signal length, a power of two >= 2.
-        wrap: permit filters longer than the signal to wrap circularly.
-            With ``wrap=False`` a too-long filter raises
-            :class:`FilterTooLongForSignal` instead.
+        n: signal length, a power of two >= 2.  Filters longer than the
+            signal wrap circularly.
 
     Row order is approximation first, then details coarse-to-fine, which for
     Haar reproduces the textbook matrix layout exactly.
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise NonPowerOfTwo(f"transform length must be 2**k with k >= 1, got {n}")
-    if not wrap and n < len(family.filter):
-        raise FilterTooLongForSignal(
-            f"{family.name} has {len(family.filter)} taps but the signal has length {n}"
-        )
 
     approx = np.eye(n)  # rows of the running approximation basis
     details: list[np.ndarray] = []  # finest first
@@ -241,7 +238,7 @@ def build_matrix(family: WaveletFamily, n: int, *, wrap: bool = True) -> Transfo
     return TransformMatrix(family, n, rows, tuple(index_map))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def cached_matrix(family_name: str, n: int) -> TransformMatrix:
     """Memoized :func:`build_matrix`; safe to share, the matrix is immutable."""
     return build_matrix(get_family(family_name), n)
@@ -362,12 +359,67 @@ class SupportBasis:
     weights: np.ndarray
     rows: np.ndarray
     folded: np.ndarray
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def coefficients(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
         """Support coefficients of each window along the last axis: of the
         window itself (length n) or, with ``fold``, of its reflect fold
         (window length n/2)."""
         return windows @ (self.folded if fold else self.rows).T
+
+    def sliding(self, y: np.ndarray, count: int, *, fold: bool) -> np.ndarray:
+        """:meth:`coefficients` of the ``count`` consecutive windows of y,
+        ``y[j : j + r]`` for j = 0 .. count - 1, where r is the window length
+        (n/2 with ``fold``, else n) and 1 <= count <= r.
+
+        One FFT correlation of y with every support row instead of a product
+        with the stacked windows.  With c the power of two >= count (at
+        least 16, at most r), the rows are cut into r/c blocks of c samples;
+        each block meets its stretch of y in an FFT of length 2c and the
+        block spectra are summed (uniformly partitioned correlation), so the
+        cost is O(|S| (r + c log c)): O(|S| r log r) for a full level,
+        O(|S| r) for a single window.  The block spectra of the rows are
+        computed on first use and kept on the basis.
+        """
+        r = self.n // 2 if fold else self.n
+        if not 1 <= count <= r or len(y) < count + r - 1:
+            raise LengthMismatch(
+                f"{count} windows of length {r} need 1 <= count <= {r} and "
+                f"{count + r - 1} samples, got {len(y)}"
+            )
+        # blocks shorter than 16 saved no time on a single window of 256 to
+        # 8192 samples; they only enlarge the kept spectra, 2 (c + 1) / c
+        # times the rows
+        c = min(r, 1 << max(4, (count - 1).bit_length()))
+        spectra = self._block_spectra(fold, c)
+        if c == r:  # one block: the plain correlation
+            segment = np.fft.rfft(y[: count + r - 1], 2 * r)
+            lags = np.fft.irfft(spectra * segment, 2 * r)
+            # copy out the lags used so the 2r lags are freed here; a view
+            # would keep them alive through the caller's threshold step
+            return np.ascontiguousarray(lags[:, :count].T)
+        # row block b meets y[b c : b c + 2c], zero past the last sample read
+        padded = np.zeros(r + c)
+        padded[: count + r - 1] = y[: count + r - 1]
+        blocks = padded.reshape(-1, c)
+        segments = np.fft.rfft(np.concatenate([blocks[:-1], blocks[1:]], axis=1))
+        product = (spectra @ segments.T[:, :, None])[..., 0]
+        return np.fft.irfft(product, 2 * c, axis=0)[:count]
+
+    def _block_spectra(self, fold: bool, c: int) -> np.ndarray:
+        """conj(rfft) of each length-c block of each row, zero-padded to 2c:
+        (|S|, r + 1) for one block, else (c + 1, |S|, r/c), the layout the
+        block sum reads as one matrix product per frequency."""
+        key = (fold, c)
+        if key not in self._spectra:
+            rows = self.folded if fold else self.rows
+            blocks = rows.reshape(len(rows), -1, c)
+            spectra = np.conj(np.fft.rfft(blocks, 2 * c))
+            spectra = spectra[:, 0] if blocks.shape[1] == 1 else spectra.transpose(2, 0, 1)
+            spectra = np.ascontiguousarray(spectra)
+            spectra.setflags(write=False)
+            self._spectra[key] = spectra
+        return self._spectra[key]
 
     def finest(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
         """Finest-level detail coefficients (the last n/2 of the transform) of

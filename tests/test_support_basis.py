@@ -2,7 +2,10 @@
 
 The reference computations here use only ``build_matrix`` (the explicit
 n x n transform), never the support basis, so a fault in the pyramid
-transform cannot hide behind itself.
+transform cannot hide behind itself.  The one exception is the FFT
+correlation ``SupportBasis.sliding``, pinned to the product of the stacked
+windows with the support rows, which are themselves pinned to the dense
+matrix.
 """
 
 from functools import lru_cache
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 import driftwave
 from driftwave import _kernels, bench, cli, denoise, selection, tvstudy, wavelets
 from driftwave.denoise import MAD_SCALE, DenoiseConfig, default_lambda, reflect_fold
-from driftwave.errors import TooShort
+from driftwave.errors import LengthMismatch, TooShort
 from driftwave.wavelets import (
     FAMILY_NAMES,
+    SupportBasis,
     build_matrix,
     get_family,
     last_column_support,
@@ -114,6 +118,33 @@ class TestBasisMatchesDense:
         # one coefficient per level plus the approximation for Haar
         assert len(support_basis("haar", 2048).support) == 12
         assert len(support_basis("db8", 2048).support) == 101
+
+
+class TestSlidingMatchesWindows:
+    """The FFT correlation against the product with the stacked windows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 11),
+        family=families, boundary=boundaries, extra=st.integers(0, 3),
+        offset=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    )
+    def test_sliding(self, data, seed, k, family, boundary, extra, offset):
+        m = 1 << k
+        count = data.draw(st.integers(1, m), label="count")
+        fold = boundary == "reflect"
+        basis = support_basis(family, 2 * m if fold else m)
+        y = offset + drifting_series(seed, count + m - 1 + extra)
+        windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
+        got = basis.sliding(y, count, fold=fold)
+        assert got.shape == (count, len(basis.support))
+        ref = basis.coefficients(windows, fold=fold)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * max(1.0, np.abs(y).max()))
+
+    @pytest.mark.parametrize("count, samples", [(0, 20), (9, 20), (4, 10)])
+    def test_window_count_and_length_checked(self, count, samples):
+        with pytest.raises(LengthMismatch):
+            support_basis("db2", 16).sliding(np.ones(samples), count, fold=True)
 
 
 class TestKernelMatchesDense:
@@ -261,3 +292,43 @@ def test_no_hot_path_builds_a_dense_transform(monkeypatch):
     bench.bound_profile(theta, noise, ("haar", "db8"))
     denoise.bound_report(theta, 0.3, 0.1, "db8")
     denoise.denoise_signal(theta + rng.normal(0, 0.1, 128), DenoiseConfig(family="db4"))
+
+
+def test_sweeps_correlate_without_forming_windows(monkeypatch):
+    """The prefix kernel (known sigma, zero sigma, a lambda override) and
+    bound_profile read every coefficient from the FFT correlation; the
+    single-window paths never compute it."""
+    rng = np.random.default_rng(1)
+    y = np.cumsum(rng.normal(0.0, 0.1, 700))
+    expected = {
+        (family, boundary, T): _kernels.wavelet_prefix_estimates(
+            y[:T], family, sigma=0.2, delta=0.1, boundary=boundary
+        )
+        for family in ("haar", "db8") for boundary in ("reflect", "periodic") for T in (300, 512)
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block of windows was formed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
+        patched.setattr(SupportBasis, "coefficients", refuse)
+        for (family, boundary, T), want in expected.items():
+            got = _kernels.wavelet_prefix_estimates(
+                y[:T], family, sigma=0.2, delta=0.1, boundary=boundary
+            )
+            np.testing.assert_array_equal(got, want)
+            for sigma, lam in ((0.0, None), (0.2, 0.5), ("mad", 0.5)):
+                _kernels.wavelet_prefix_estimates(
+                    y[:T], family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+                )
+        noise = bench.NoiseSpec("uniform", (0.2, 0.5))
+        theta = bench.generate_signal(bench.SignalSpec("doppler", 300), 0)
+        for boundary in ("reflect", "periodic"):
+            bench.bound_profile(theta, noise, ("haar", "db8"), boundary=boundary)
+
+    monkeypatch.setattr(SupportBasis, "sliding", refuse)
+    cfg = DenoiseConfig(family="db8", sigma="mad")
+    denoise.estimate_latest(y, cfg)
+    panel = [selection.LossSeries(f"m{i}", 0.3 + rng.normal(0, 0.02, 300)) for i in range(3)]
+    selection.select(panel, cfg)

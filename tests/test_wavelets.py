@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftwave.errors import FilterTooLongForSignal, LengthMismatch, NonPowerOfTwo
+from driftwave.errors import LengthMismatch, NonPowerOfTwo
 from driftwave.wavelets import (
     FAMILY_NAMES,
     CoefficientVector,
@@ -94,10 +94,6 @@ class TestBuildMatrix:
     def test_non_power_of_two_rejected(self, n):
         with pytest.raises(NonPowerOfTwo):
             build_matrix(get_family("haar"), n)
-
-    def test_strict_mode_rejects_long_filter(self):
-        with pytest.raises(FilterTooLongForSignal):
-            build_matrix(get_family("db8"), 8, wrap=False)
 
     def test_wrapped_long_filter_still_orthonormal(self):
         W = build_matrix(get_family("db8"), 8)
