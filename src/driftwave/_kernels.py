@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .denoise import MAD_SCALE, DenoiseConfig, _require_finite, estimate_latest
+from .denoise import DenoiseConfig, _lambda_root, _mad_rows, _require_finite, estimate_latest
 from .errors import DomainError
 from .wavelets import SupportBasis, support_basis
 
@@ -41,9 +41,8 @@ def _mad_sigma(basis: SupportBasis, y, m: int, count: int, fold: bool) -> np.nda
     rows = max(1, _MAD_BLOCK // m)
     sig = np.empty(count)
     for start in range(0, count, rows):
-        finest = basis.finest(windows[start : start + rows], fold=fold)
-        sig[start : start + rows] = np.median(np.abs(finest), axis=1)
-    return sig / MAD_SCALE
+        sig[start : start + rows] = _mad_rows(basis.finest(windows[start : start + rows], fold=fold))
+    return sig
 
 
 def _prefix_kernel(y, family, sigma, delta, lam_override, use_mad, fold, out):
@@ -62,11 +61,11 @@ def _prefix_kernel(y, family, sigma, delta, lam_override, use_mad, fold, out):
             lam = lam_override
         elif use_mad:
             sig = _mad_sigma(basis, y, m, count, fold)
-            lam = (2.0 * math.sqrt(2.0 * math.log(math.log(m) / delta)) * sig)[:, None]
+            lam = (2.0 * _lambda_root(delta, m) * sig)[:, None]
         elif sigma == 0.0:
             lam = 0.0
         else:
-            lam = 2.0 * sigma * math.sqrt(2.0 * math.log(math.log(m) / delta))
+            lam = 2.0 * sigma * _lambda_root(delta, m)
         # B - clip(B, -lam, lam) == sign(B) * max(|B| - lam, 0), bit for bit
         out[lo_t - 1 : hi_t] = (B - np.clip(B, -lam, lam)) @ basis.weights
     return out
@@ -89,19 +88,19 @@ def wavelet_prefix_estimates(
     prefix; under the periodic boundary the raw observation is passed through
     while the window is too short (fewer than 4 points) to carry
     finest-level coefficients worth a median.  NaN or infinite observations
-    raise :class:`NonFiniteValue`.
+    raise :class:`NonFiniteValue`; the parameters are checked as
+    :class:`DenoiseConfig` checks them (``ValueError``).
     """
+    DenoiseConfig(
+        family=family, sigma=sigma, delta=delta, lambda_override=lam_override, boundary=boundary
+    )
     y = np.ascontiguousarray(y, dtype=np.float64)
     T = len(y)
     if T == 0:
         return np.empty(0)
     _require_finite(y)
-    if boundary not in ("reflect", "periodic"):
-        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
     fold = boundary == "reflect"
     use_mad = isinstance(sigma, str)
-    if use_mad and sigma != "mad":
-        raise ValueError(f"sigma must be a number or 'mad', got {sigma!r}")
     sig = 0.0 if use_mad else float(sigma)
     lam = -1.0 if lam_override is None else float(lam_override)
     if lam < 0.0 and T >= 2 and (use_mad or sig > 0.0):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .baselines import adaptive_window_sweep, fixed_window_sweep
-from .denoise import _require_finite, default_lambda
+from .denoise import _require_finite, _require_finite_params, default_lambda
 from .errors import LengthMismatch, NonFiniteValue, ParseError
 from .wavelets import support_basis
 
@@ -122,6 +122,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        for level in self.levels:
+            _require_finite_params(noise_level=level)
         if any(level < 0 for level in self.levels):
             raise ValueError("noise levels must be nonnegative")
 

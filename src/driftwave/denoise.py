@@ -2,10 +2,13 @@
 
 The estimator transforms the most recent dyadic window of observations,
 shrinks every coefficient toward zero by the threshold, reconstructs, and
-reads off the newest coordinate.  Alongside it live the default threshold,
-the MAD noise-scale estimator, and the three error-bound calculators
-(coefficient-sparsity bound, dyadic-window variational bound, and its
-total-variation variant).
+reads off the newest coordinate.  It works on a stack of equally long
+windows at once: one support-basis lookup, one MAD pass, one threshold and
+one reconstruction per stack.  :func:`estimate_latest` is the one-row case,
+and :func:`driftwave.selection.select` stacks a whole panel.  Alongside it
+live the default threshold, the MAD noise-scale estimator, and the three
+error-bound calculators (coefficient-sparsity bound, dyadic-window
+variational bound, and its total-variation variant).
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ class DenoiseConfig:
     boundary: str = "reflect"
 
     def __post_init__(self):
+        _require_finite_params(
+            sigma=self.sigma, delta=self.delta, lambda_override=self.lambda_override
+        )
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if isinstance(self.sigma, str):
@@ -94,8 +100,9 @@ class BoundReport:
 
 
 def soft_threshold(x, lam):
-    """sign(x) * max(|x| - lam, 0), elementwise on arrays."""
-    if lam < 0:
+    """sign(x) * max(|x| - lam, 0), elementwise on arrays; an array ``lam``
+    broadcasts against x."""
+    if np.any(np.asarray(lam) < 0):
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     if np.isscalar(x):
         return float(math.copysign(max(abs(x) - lam, 0.0), x))
@@ -109,6 +116,7 @@ def default_lambda(sigma: float, delta: float, n: int) -> float:
     Logs are natural.  sigma == 0 short-circuits to 0: zero noise needs no
     shrinkage even where the log term would be undefined.
     """
+    _require_finite_params(sigma=sigma, delta=delta)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if not (0.0 < delta < 1.0):
@@ -117,10 +125,15 @@ def default_lambda(sigma: float, delta: float, n: int) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if sigma == 0.0:
         return 0.0
+    return 2.0 * sigma * _lambda_root(delta, n)
+
+
+def _lambda_root(delta: float, n: int) -> float:
+    """sqrt(2 ln(ln(n)/delta)): the default threshold per unit of 2 sigma."""
     t = math.log(n) / delta
     if t <= 1.0:
         raise DomainError(f"ln(n)/delta = {t:.6g} <= 1 leaves the threshold undefined")
-    return 2.0 * sigma * math.sqrt(2.0 * math.log(t))
+    return math.sqrt(2.0 * math.log(t))
 
 
 def kappa(n: int, delta: float) -> float:
@@ -134,13 +147,14 @@ def mad_sigma(beta: CoefficientVector) -> float:
     """Noise scale from the finest-level coefficients: median(|.|) / 0.6745."""
     if beta.n < 4:
         raise TooShort(f"MAD estimation needs at least 4 coefficients, got {beta.n}")
-    return float(np.median(np.abs(finest_level_coeffs(beta)))) / MAD_SCALE
+    return float(_mad_rows(finest_level_coeffs(beta)))
 
 
 def dyadic_truncate(y: np.ndarray) -> np.ndarray:
-    """Most recent 2**floor(log2(len(y))) observations."""
-    n_used = 1 << (len(y).bit_length() - 1)
-    return y[len(y) - n_used :]
+    """Most recent 2**floor(log2(T)) observations along the last axis (of
+    length T)."""
+    T = y.shape[-1]
+    return y[..., T - (1 << (T.bit_length() - 1)) :]
 
 
 def reflect_fold(window: np.ndarray) -> np.ndarray:
@@ -161,6 +175,14 @@ def _require_finite(y: np.ndarray) -> None:
         raise NonFiniteValue(f"observation {bad} is {float(y[bad])}; need finite values")
 
 
+def _require_finite_params(**params) -> None:
+    """ValueError naming the first parameter that is NaN or infinite; None
+    and strings (no override, ``sigma="mad"``) are not numbers to check."""
+    for name, value in params.items():
+        if not isinstance(value, (str, type(None))) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _window(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) < 2:
@@ -169,21 +191,56 @@ def _window(y: np.ndarray) -> np.ndarray:
     return dyadic_truncate(y)
 
 
-def _threshold(cfg: DenoiseConfig, n_vec: int, n_used: int, finest) -> tuple[float, float]:
-    """(lambda, sigma_used) for a transform of length n_vec over n_used
-    observations; ``finest()`` gives the finest-level coefficients, which
-    are computed only when MAD needs them."""
+def _mad_rows(finest: np.ndarray) -> np.ndarray:
+    """median(|finest|) / MAD_SCALE along the last axis: the one MAD rule.
+    A transform of length n = 2**k >= 4 has n/2 finest-level coefficients, an
+    even count, so the median is the mean of the two middle order statistics,
+    taken as ``np.median`` takes it."""
+    k = finest.shape[-1] // 2
+    part = np.partition(np.abs(finest), (k - 1, k), axis=-1)
+    return (part[..., k - 1] + part[..., k]) / 2.0 / MAD_SCALE
+
+
+def _thresholds(
+    cfg: DenoiseConfig, n_vec: int, n_used: int, rows: int, finest
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, sigma_used) of each of ``rows`` windows of n_used observations
+    under a transform of length n_vec; ``finest()`` gives their finest-level
+    coefficients, which are computed only when MAD needs them."""
     if not isinstance(cfg.sigma, str):
-        sigma_used = float(cfg.sigma)
-    elif cfg.lambda_override is not None and n_vec < 4:
-        sigma_used = 0.0
-    elif n_vec < 4:
-        raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
+        sigma = np.full(rows, float(cfg.sigma))
+    elif n_vec >= 4:
+        sigma = _mad_rows(finest())
+    elif cfg.lambda_override is not None:
+        sigma = np.zeros(rows)
     else:
-        sigma_used = float(np.median(np.abs(finest()))) / MAD_SCALE
+        raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
     if cfg.lambda_override is not None:
-        return cfg.lambda_override, sigma_used
-    return default_lambda(sigma_used, cfg.delta, n_used), sigma_used
+        return np.full(rows, float(cfg.lambda_override)), sigma
+    if not sigma.any():  # as in default_lambda: no noise, no shrinkage
+        return np.zeros(rows), sigma
+    return 2.0 * sigma * _lambda_root(cfg.delta, n_used), sigma
+
+
+def _estimate_rows(
+    windows: np.ndarray, cfg: DenoiseConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, lambda, sigma_used) of each row of a (B, n_used) stack of
+    finite dyadic windows, oldest to newest.
+
+    One support-basis lookup, one MAD pass, one threshold and one
+    reconstruction for the whole stack.  Each row goes through the same
+    steps (the products are stacked vector products), so a row's results do
+    not depend on the rows stacked with it.
+    """
+    rows, n_used = windows.shape
+    fold = cfg.boundary == "reflect"
+    basis = support_basis(cfg.family, 2 * n_used if fold else n_used)
+    lam, sigma = _thresholds(
+        cfg, basis.n, n_used, rows, lambda: basis.finest(windows, fold=fold)
+    )
+    shrunk = soft_threshold(basis.coefficients(windows, fold=fold), lam[:, None])
+    return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
 
 
 def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
@@ -197,14 +254,8 @@ def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     NaN or infinite observations raise :class:`NonFiniteValue`.
     """
     window = _window(y)
-    n_used = len(window)
-    fold = cfg.boundary == "reflect"
-    basis = support_basis(cfg.family, 2 * n_used if fold else n_used)
-    lam, sigma_used = _threshold(
-        cfg, basis.n, n_used, lambda: basis.finest(window, fold=fold)
-    )
-    value = float(basis.weights @ soft_threshold(basis.coefficients(window, fold=fold), lam))
-    return Estimate(value, float(lam), float(sigma_used), n_used)
+    values, lam, sigma = _estimate_rows(window[None, :], cfg)
+    return Estimate(float(values[0]), float(lam[0]), float(sigma[0]), len(window))
 
 
 def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -214,8 +265,8 @@ def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     vec = reflect_fold(window) if cfg.boundary == "reflect" else window
     family = get_family(cfg.family)
     beta = pyramid_analysis(family, vec)
-    lam, _ = _threshold(cfg, len(vec), n_used, lambda: beta[len(vec) // 2 :])
-    return pyramid_synthesis(family, soft_threshold(beta, lam))[len(vec) - n_used :]
+    lam, _ = _thresholds(cfg, len(vec), n_used, 1, lambda: beta[None, len(vec) // 2 :])
+    return pyramid_synthesis(family, soft_threshold(beta, float(lam[0])))[len(vec) - n_used :]
 
 
 def sparsity_bound(
@@ -241,6 +292,7 @@ def _variational_scan(
 ) -> tuple[float, int, float, float]:
     # profile[t-1] is the bias surrogate for the window of the t most recent
     # points; U(r) maxes it over dyadic t <= r against sigma/sqrt(r).
+    _require_finite_params(sigma=sigma, delta=delta)
     levels = n.bit_length() - 1
     dyadic_max = np.maximum.accumulate([profile[(1 << p) - 1] for p in range(levels + 1)])
     r = np.arange(1, n + 1)

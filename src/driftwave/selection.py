@@ -3,19 +3,24 @@
 Each candidate's loss history is denoised and the model with the smallest
 denoised latest loss wins (ties broken by lexicographically smallest id).
 With the threshold forced to zero this reduces exactly to picking the
-smallest raw latest loss.
+smallest raw latest loss.  The panel is estimated as one stack: the series
+share a length, so their dyadic windows form one (models x window) array
+that goes through the estimator once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .denoise import DenoiseConfig, estimate_latest
-from .errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel
+# estimate_latest is not called here; it stays importable from this module,
+# where perfbench's traced select-stream run wraps it
+from .denoise import DenoiseConfig, _estimate_rows, dyadic_truncate, estimate_latest  # noqa: F401
+from .errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
 
 
 @dataclass(frozen=True)
@@ -26,16 +31,73 @@ class LossSeries:
     losses: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class SelectionResult:
+    """The chosen model id, and per model (in panel order) its denoised and
+    raw latest loss, with the configuration that produced them.
+
+    Stored compactly; ``scores`` and ``config`` build the dicts when read.
+    ``SelectionResult(chosen, scores, config)`` takes those dicts (or a
+    :class:`DenoiseConfig` for ``config``), so it and ``dataclasses.replace``
+    with any of the three names work as on a dict-backed result.  Two results
+    are equal when their choice, scores and config are.
+    """
+
     chosen: str
-    scores: dict  # model id -> {"denoised": float, "raw": float}
-    config: dict
+    model_ids: tuple[str, ...] = field(init=False)
+    denoised: array = field(init=False)  # array("d"), one entry per model
+    raw: array = field(init=False)
+    cfg: DenoiseConfig | dict = field(init=False)
+    # Constructor arguments only.  The properties of the same name below are
+    # their defaults, so dataclasses.replace reads them back from the result.
+    scores: InitVar[dict]
+    config: InitVar[dict]
+
+    def __init__(self, chosen: str, scores: dict, config: DenoiseConfig | dict):
+        self._store(
+            chosen,
+            tuple(scores),
+            array("d", (s["denoised"] for s in scores.values())),
+            array("d", (s["raw"] for s in scores.values())),
+            config if isinstance(config, DenoiseConfig) else dict(config),
+        )
+
+    @classmethod
+    def _compact(cls, chosen, model_ids, denoised, raw, cfg) -> SelectionResult:
+        """A result from its stored parts, without building the dicts."""
+        result = object.__new__(cls)
+        result._store(chosen, model_ids, denoised, raw, cfg)
+        return result
+
+    def _store(self, chosen, model_ids, denoised, raw, cfg) -> None:
+        object.__setattr__(self, "chosen", chosen)
+        object.__setattr__(self, "model_ids", model_ids)
+        object.__setattr__(self, "denoised", denoised)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "cfg", cfg)
+
+    @property
+    def scores(self) -> dict:
+        """model id -> {"denoised": float, "raw": float}, in panel order."""
+        return {
+            mid: {"denoised": d, "raw": r}
+            for mid, d, r in zip(self.model_ids, self.denoised, self.raw)
+        }
+
+    @property
+    def config(self) -> dict:
+        return self.cfg.to_dict() if isinstance(self.cfg, DenoiseConfig) else dict(self.cfg)
+
+    def __eq__(self, other):
+        if not isinstance(other, SelectionResult):
+            return NotImplemented
+        return (self.chosen, self.scores, self.config) == (other.chosen, other.scores, other.config)
 
     def to_json(self) -> str:
+        scores = self.scores
         payload = {
             "chosen": self.chosen,
-            "scores": {mid: self.scores[mid] for mid in sorted(self.scores)},
+            "scores": {mid: scores[mid] for mid in sorted(scores)},
             "config": self.config,
         }
         return json.dumps(payload, indent=2)
@@ -48,8 +110,8 @@ def select(
 
     ``clamp`` restricts each denoised estimate to the observed range of its
     own series (useful for losses with hard bounds); off by default so the
-    estimator is never silently clipped.  A NaN or infinite loss in any
-    series raises :class:`NonFiniteValue`.
+    estimator is never silently clipped.  A NaN or infinite loss raises
+    :class:`NonFiniteValue` naming the first such model in panel order.
     """
     if not panel:
         raise EmptyPanel("panel holds no loss series")
@@ -60,20 +122,19 @@ def select(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate model ids: {ids}")
 
-    scores = {}
-    for series in panel:
-        if not np.all(np.isfinite(series.losses)):
-            raise NonFiniteValue(f"model {series.model_id!r} has a NaN or infinite loss")
-        est = estimate_latest(series.losses, cfg)
-        denoised = est.value
-        if clamp:
-            denoised = float(np.clip(denoised, series.losses.min(), series.losses.max()))
-        scores[series.model_id] = {
-            "denoised": denoised,
-            "raw": float(series.losses[-1]),
-        }
-    chosen = min(scores, key=lambda mid: (scores[mid]["denoised"], mid))
-    return SelectionResult(chosen, scores, cfg.to_dict())
+    losses = np.array([s.losses for s in panel], dtype=np.float64)  # (models, T)
+    finite = np.isfinite(losses).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(f"model {ids[int(np.argmin(finite))]!r} has a NaN or infinite loss")
+    if losses.shape[1] < 2:
+        raise TooShort(f"need at least 2 observations, got {losses.shape[1]}")
+    denoised, _, _ = _estimate_rows(dyadic_truncate(losses), cfg)
+    if clamp:
+        denoised = np.clip(denoised, losses.min(axis=1), losses.max(axis=1))
+    chosen = min(zip(denoised.tolist(), ids))[1]
+    return SelectionResult._compact(
+        chosen, tuple(ids), array("d", denoised), array("d", losses[:, -1]), cfg
+    )
 
 
 def ingest_panel(stream) -> list[LossSeries]:

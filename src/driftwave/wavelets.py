@@ -130,31 +130,37 @@ SUPPORT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class WaveletFamily:
-    """A wavelet family given by its orthonormal low-pass filter taps."""
+    """A wavelet family given by its orthonormal low-pass filter taps and the
+    quadrature-mirror detail filter ``highpass[l] = (-1)**l * filter[L-1-l]``
+    (both read-only)."""
 
     name: str
     filter: np.ndarray
+    highpass: np.ndarray
 
     @property
     def vanishing_moments(self) -> int:
         return len(self.filter) // 2
 
-    def highpass(self) -> np.ndarray:
-        """Quadrature-mirror detail filter g[l] = (-1)^l h[L-1-l]."""
-        h = self.filter
-        L = len(h)
-        return np.array([(-1.0) ** l * h[L - 1 - l] for l in range(L)])
-
 
 def get_family(name: str) -> WaveletFamily:
+    """The family named ``name`` (case-insensitive; ``db1`` is Haar).  Each
+    family is built once, so every caller shares its tap arrays."""
     key = name.lower()
     if key == "db1":
         key = "haar"
     if key not in _FILTERS:
         raise KeyError(f"unknown wavelet family {name!r}; choose from {FAMILY_NAMES}")
+    return _family(key)
+
+
+@lru_cache(maxsize=None)
+def _family(key: str) -> WaveletFamily:
     taps = np.array(_FILTERS[key], dtype=np.float64)
+    highpass = (-1.0) ** np.arange(len(taps)) * taps[::-1]
     taps.setflags(write=False)
-    return WaveletFamily(key, taps)
+    highpass.setflags(write=False)
+    return WaveletFamily(key, taps, highpass)
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ def _analysis_pair(family: WaveletFamily, m: int) -> tuple[np.ndarray, np.ndarra
     stacked matrix exactly orthogonal for any even m.
     """
     h = family.filter
-    g = family.highpass()
+    g = family.highpass
     half = m // 2
     lo = np.zeros((half, m))
     hi = np.zeros((half, m))
@@ -318,7 +324,7 @@ def pyramid_analysis(family: WaveletFamily, x: np.ndarray) -> np.ndarray:
     O(n L) per vector; x may hold a batch of vectors in its leading axes."""
     x = np.asarray(x, dtype=np.float64)
     _check_length(x.shape[-1])
-    h, g = family.filter, family.highpass()
+    h, g = family.filter, family.highpass
     details = []  # finest first
     approx = x
     while approx.shape[-1] >= 2:
@@ -332,7 +338,7 @@ def pyramid_synthesis(family: WaveletFamily, beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     n = beta.shape[-1]
     _check_length(n)
-    h, g = family.filter, family.highpass()
+    h, g = family.filter, family.highpass
     x = beta[..., :1]
     m = 1
     while m < n:
@@ -364,8 +370,13 @@ class SupportBasis:
     def coefficients(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
         """Support coefficients of each window along the last axis: of the
         window itself (length n) or, with ``fold``, of its reflect fold
-        (window length n/2)."""
-        return windows @ (self.folded if fold else self.rows).T
+        (window length n/2).
+
+        Each window is its own vector-matrix product, so its coefficients do
+        not depend on the windows stacked with it; one matrix product of the
+        stack does not promise that (BLAS may round edge rows differently)."""
+        rows = self.folded if fold else self.rows
+        return (windows[..., None, :] @ rows.T)[..., 0, :]
 
     def sliding(self, y: np.ndarray, count: int, *, fold: bool) -> np.ndarray:
         """:meth:`coefficients` of the ``count`` consecutive windows of y,
@@ -423,10 +434,17 @@ class SupportBasis:
 
     def finest(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
         """Finest-level detail coefficients (the last n/2 of the transform) of
-        each window, arranged as in :meth:`coefficients`."""
+        each window, arranged as in :meth:`coefficients`.
+
+        One windowed product: coefficient i is the high-pass taps against
+        samples 2i .. 2i + L - 1 of the periodized vector, all read through
+        one strided view."""
         if fold:
             windows = np.concatenate([windows[..., ::-1], windows], axis=-1)
-        return _filter_down(windows, self.family.highpass())
+        g = self.family.highpass
+        m = windows.shape[-1]
+        ext = windows[..., np.arange(m + len(g) - 2) % m]
+        return np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[..., ::2, :] @ g
 
 
 @lru_cache(maxsize=64)

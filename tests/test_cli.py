@@ -1,20 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftwave
 from driftwave.bench import SignalSpec, generate_signal
 from driftwave.denoise import DenoiseConfig, estimate_latest
 
+# the child interpreter imports the same package as this one, installed or not
+PACKAGE_ROOT = str(Path(driftwave.__file__).resolve().parent.parent)
+
 
 def run_cli(*argv, stdin=None):
+    path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "driftwave", *argv],
         capture_output=True,
         text=True,
         input=stdin,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
 
 

@@ -20,7 +20,10 @@ from driftwave.denoise import (
     soft_threshold,
     tv_variational_bound,
 )
+from driftwave._kernels import wavelet_prefix_estimates
+from driftwave.bench import NoiseSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
+from driftwave.selection import LossSeries, select
 from driftwave.wavelets import CoefficientVector, cached_matrix, forward, last_column_support
 
 
@@ -357,3 +360,39 @@ class TestHelpers:
             DenoiseConfig(boundary="zero")
         with pytest.raises(ValueError):
             DenoiseConfig(truncation="pad")
+
+
+_THETA = np.linspace(0.0, 1.0, 16)
+# every place that takes sigma, lambda or delta, called with one of them
+# replaced by the drawn value
+_PARAMETER_CALLS = {
+    "DenoiseConfig sigma": lambda v: DenoiseConfig(sigma=v),
+    "DenoiseConfig delta": lambda v: DenoiseConfig(delta=v),
+    "DenoiseConfig lambda": lambda v: DenoiseConfig(sigma="mad", lambda_override=v),
+    "select": lambda v: select([LossSeries("a", _THETA)], DenoiseConfig(sigma=v)),
+    "default_lambda sigma": lambda v: default_lambda(v, 0.1, 16),
+    "default_lambda delta": lambda v: default_lambda(1.0, v, 16),
+    "prefix sigma": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma=v, delta=0.1),
+    "prefix delta": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma="mad", delta=v),
+    "prefix lambda": lambda v: wavelet_prefix_estimates(
+        _THETA, "db4", sigma=0.1, delta=0.1, lam_override=v
+    ),
+    "bound_report sigma": lambda v: bound_report(_THETA, v, 0.1),
+    "bound_report delta": lambda v: bound_report(_THETA, 0.1, v),
+    "haar bound sigma": lambda v: haar_variational_bound(_THETA, v, 0.1),
+    "haar bound delta": lambda v: haar_variational_bound(_THETA, 0.1, v),
+    "tv bound sigma": lambda v: tv_variational_bound(_THETA, v, 0.1),
+    "tv bound delta": lambda v: tv_variational_bound(_THETA, 0.1, v),
+    "noise level": lambda v: NoiseSpec("uniform", (0.2, v)),
+}
+
+
+class TestNonFiniteParameters:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        where=st.sampled_from(sorted(_PARAMETER_CALLS)),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf")]),
+    )
+    def test_raises_and_never_returns(self, where, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _PARAMETER_CALLS[where](bad)

@@ -1,12 +1,17 @@
+import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftwave.denoise import DenoiseConfig
-from driftwave.errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel
-from driftwave.selection import LossSeries, ingest_panel, select
+from driftwave.denoise import DenoiseConfig, estimate_latest
+from driftwave.errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
+from driftwave.selection import LossSeries, SelectionResult, ingest_panel, select
+from driftwave.wavelets import FAMILY_NAMES
 
 
 def panel_from(data: dict) -> list:
@@ -112,6 +117,155 @@ class TestSelect:
             raw_hits += min(panel, key=lambda s: s.losses[-1]).model_id == "B"
         assert denoised_hits >= 80
         assert denoised_hits >= raw_hits
+
+
+
+def drifting_panel(seed: int, models: int, T: int) -> list:
+    rng = np.random.default_rng(seed)
+    t = np.arange(T) / T
+    return [
+        LossSeries(
+            f"m{k}",
+            rng.uniform(-1.0, 1.0) * np.sin(2 * np.pi * rng.uniform(0.5, 4.0) * t)
+            + rng.normal(0.0, rng.uniform(0.01, 0.5), T),
+        )
+        for k in range(models)
+    ]
+
+
+configs = st.builds(
+    DenoiseConfig,
+    family=st.sampled_from(FAMILY_NAMES),
+    sigma=st.one_of(st.just("mad"), st.just(0.0), st.floats(0.01, 2.0)),
+    lambda_override=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    boundary=st.sampled_from(["reflect", "periodic"]),
+)
+
+
+class TestBatchedSelect:
+    """The stacked panel estimate against one ``estimate_latest`` per model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), models=st.integers(1, 10), T=st.integers(2, 600),
+        cfg=configs, clamp=st.booleans(),
+    )
+    def test_scores_match_per_model_estimates(self, seed, models, T, cfg, clamp):
+        panel = drifting_panel(seed, models, T)
+        try:
+            want = [estimate_latest(s.losses, cfg).value for s in panel]
+        except TooShort:  # MAD on a periodic window of 2 or 3 points
+            with pytest.raises(TooShort):
+                select(panel, cfg, clamp=clamp)
+            return
+        if clamp:
+            want = [min(max(v, s.losses.min()), s.losses.max()) for v, s in zip(want, panel)]
+        result = select(panel, cfg, clamp=clamp)
+        scores = result.scores
+        assert list(scores) == [s.model_id for s in panel]
+        for s, v in zip(panel, want):
+            assert abs(scores[s.model_id]["denoised"] - v) <= 1e-10
+            assert scores[s.model_id]["raw"] == s.losses[-1]
+        assert result.chosen == min(scores, key=lambda mid: (scores[mid]["denoised"], mid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), models=st.integers(2, 10), T=st.integers(4, 600),
+        cfg=configs, clamp=st.booleans(), data=st.data(),
+    )
+    def test_duplicated_series_scores_bit_identical_at_any_position(
+        self, seed, models, T, cfg, clamp, data
+    ):
+        panel = drifting_panel(seed, models, T)
+        src = data.draw(st.integers(0, models - 1))
+        dst = data.draw(st.integers(0, models - 1).filter(lambda i: i != src))
+        # the copy's id sorts first, so only the tie-break can pick it over
+        # the original
+        panel[dst] = LossSeries("a-copy", panel[src].losses.copy())
+        try:
+            result = select(panel, cfg, clamp=clamp)
+        except TooShort:
+            return
+        scores = result.scores
+        assert scores["a-copy"]["denoised"] == scores[panel[src].model_id]["denoised"]
+        if result.chosen in ("a-copy", panel[src].model_id):
+            assert result.chosen == "a-copy"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), models=st.integers(1, 10), T=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_first_non_finite_model_in_panel_order_is_named(self, seed, models, T, data):
+        panel = drifting_panel(seed, models, T)
+        bad = data.draw(st.sets(st.integers(0, models - 1), min_size=1))
+        for i in bad:
+            t = data.draw(st.integers(0, T - 1))
+            panel[i].losses[t] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(NonFiniteValue, match=f"'m{min(bad)}'"):
+            select(panel, DenoiseConfig(family="db8", sigma="mad"))
+
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_length_one_series_too_short(self, models):
+        with pytest.raises(TooShort):
+            select(panel_from({f"m{i}": [0.5] for i in range(models)}), DenoiseConfig(sigma=0.1))
+
+    @pytest.mark.parametrize("sigma", ["mad", 0.2])
+    def test_result_reads_like_the_dict_result(self, sigma):
+        cfg = DenoiseConfig(family="db4", sigma=sigma)
+        panel = drifting_panel(4, 5, 300)
+        result = select(panel, cfg)
+        assert result.config == dataclasses.asdict(cfg)
+        scores = result.scores
+        assert all(list(v) == ["denoised", "raw"] for v in scores.values())
+        assert all(type(x) is float for v in scores.values() for x in v.values())
+        want = json.dumps(
+            {
+                "chosen": result.chosen,
+                "scores": {mid: scores[mid] for mid in sorted(scores)},
+                "config": dataclasses.asdict(cfg),
+            },
+            indent=2,
+        )
+        assert result.to_json() == want
+        # equality compares choice, scores and config, as the dict fields did:
+        # panel order does not enter it
+        assert result == select(panel[::-1], cfg)
+        assert result == select(panel, dataclasses.replace(cfg))
+        assert result != select(panel, dataclasses.replace(cfg, delta=0.2))
+        assert result != select(panel[:-1], cfg)
+
+    def test_result_built_and_replaced_from_the_dicts(self):
+        cfg = DenoiseConfig(family="db8", sigma="mad")
+        result = select(drifting_panel(6, 4, 300), cfg)
+        assert SelectionResult(result.chosen, result.scores, result.config) == result
+        assert SelectionResult(result.chosen, result.scores, cfg).to_json() == result.to_json()
+
+        scores = {mid: dict(s) for mid, s in result.scores.items()}
+        scores[result.chosen]["denoised"] += 1e-8
+        perturbed = dataclasses.replace(result, scores=scores)
+        assert perturbed.scores == scores and perturbed.chosen == result.chosen
+        assert perturbed.config == result.config and perturbed != result
+
+        loser = max(result.scores, key=lambda mid: result.scores[mid]["denoised"])
+        wrong = dataclasses.replace(result, chosen=loser)
+        assert wrong.chosen == loser and wrong.scores == result.scores
+        other = {"family": "haar", "sigma": 0.1}  # any dict reads back as given
+        assert dataclasses.replace(result, config=other).config == other
+
+    def test_result_retains_under_1kb_on_an_8_model_panel(self):
+        panel = drifting_panel(5, 8, 1500)
+        cfg = DenoiseConfig(family="db8", sigma="mad")
+        select(panel, cfg)  # warm caches: the support basis, the family
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            results = [select(panel, cfg) for _ in range(200)]
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+        assert retained / len(results) < 1024
 
 
 class TestIngestPanel:

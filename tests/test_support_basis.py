@@ -105,6 +105,12 @@ class TestBasisMatchesDense:
             np.testing.assert_allclose(
                 basis.finest(x, fold=False), (W @ x)[n // 2 :], rtol=0, atol=TOL
             )
+            stack = rng.normal(size=(3, n // 2))  # stacked windows, folded
+            np.testing.assert_allclose(
+                basis.finest(stack, fold=True),
+                (np.concatenate([stack[:, ::-1], stack], axis=1) @ W.T)[:, n // 2 :],
+                rtol=0, atol=TOL,
+            )
 
     @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
     @pytest.mark.parametrize("n", [2, 4, 16, 256])

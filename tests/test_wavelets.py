@@ -60,6 +60,16 @@ class TestFilters:
     def test_db1_aliases_haar(self):
         assert get_family("db1").name == "haar"
 
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_family_built_once_with_read_only_quadrature_mirror(self, name):
+        fam = get_family(name)
+        assert get_family(name.upper()) is fam
+        h, L = fam.filter, len(fam.filter)
+        np.testing.assert_array_equal(fam.highpass, [(-1.0) ** l * h[L - 1 - l] for l in range(L)])
+        for taps in (fam.filter, fam.highpass):
+            with pytest.raises(ValueError):
+                taps[0] = 0.0
+
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             get_family("sym4")
