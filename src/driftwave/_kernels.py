@@ -21,7 +21,14 @@ import math
 
 import numpy as np
 
-from .denoise import DenoiseConfig, _lambda_root, _mad_rows, _require_finite, estimate_latest
+from .denoise import (
+    DenoiseConfig,
+    _lambda_root,
+    _mad_rows,
+    _require_finite,
+    _shrink,
+    estimate_latest,
+)
 from .errors import DomainError
 from .wavelets import SupportBasis, support_basis
 
@@ -66,8 +73,7 @@ def _prefix_kernel(y, family, sigma, delta, lam_override, use_mad, fold, out):
             lam = 0.0
         else:
             lam = 2.0 * sigma * _lambda_root(delta, m)
-        # B - clip(B, -lam, lam) == sign(B) * max(|B| - lam, 0), bit for bit
-        out[lo_t - 1 : hi_t] = (B - np.clip(B, -lam, lam)) @ basis.weights
+        out[lo_t - 1 : hi_t] = _shrink(B, lam) @ basis.weights
     return out
 
 

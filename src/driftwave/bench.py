@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .baselines import adaptive_window_sweep, fixed_window_sweep
-from .denoise import _require_finite, _require_finite_params, default_lambda
+from .denoise import _require_finite, _require_finite_params, _require_transform, default_lambda
 from .errors import LengthMismatch, NonFiniteValue, ParseError
 from .wavelets import support_basis
 
@@ -391,8 +391,10 @@ def bound_profile(
     For each prefix (t >= 2; the one-point prefix carries no threshold) the
     most recent dyadic window of the noiseless ground truth is arranged per
     the estimator's boundary policy, transformed, and the bound evaluated at
-    the default threshold for the level's known sigma.
+    the default threshold for the level's known sigma.  An unknown family or
+    a boundary other than reflect/periodic raises ``ValueError``.
     """
+    _require_transform(boundary, *families)
     theta = np.asarray(theta, dtype=np.float64)
     n = len(theta)
     if n < 2:

@@ -66,12 +66,7 @@ class DenoiseConfig:
             raise ValueError(f"lambda_override must be nonnegative, got {self.lambda_override}")
         if self.truncation != "dyadic":
             raise ValueError(f"unsupported truncation policy {self.truncation!r}")
-        if self.boundary not in ("reflect", "periodic"):
-            raise ValueError(f"boundary must be 'reflect' or 'periodic', got {self.boundary!r}")
-        try:
-            get_family(self.family)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
+        _require_transform(self.boundary, self.family)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,6 +178,18 @@ def _require_finite_params(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_transform(boundary: str, *families: str) -> None:
+    """ValueError for a boundary other than reflect/periodic or an unknown
+    wavelet family."""
+    if boundary not in ("reflect", "periodic"):
+        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
+    for family in families:
+        try:
+            get_family(family)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+
+
 def _window(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) < 2:
@@ -193,12 +200,27 @@ def _window(y: np.ndarray) -> np.ndarray:
 
 def _mad_rows(finest: np.ndarray) -> np.ndarray:
     """median(|finest|) / MAD_SCALE along the last axis: the one MAD rule.
+
     A transform of length n = 2**k >= 4 has n/2 finest-level coefficients, an
     even count, so the median is the mean of the two middle order statistics,
-    taken as ``np.median`` takes it."""
+    taken as ``np.median`` takes it.  One partition at the upper middle index
+    k places every smaller value before k, so the lower middle value is the
+    largest of those: the same pair as a two-index partition, found by
+    numpy's single-index selection, which is several times faster."""
     k = finest.shape[-1] // 2
-    part = np.partition(np.abs(finest), (k - 1, k), axis=-1)
-    return (part[..., k - 1] + part[..., k]) / 2.0 / MAD_SCALE
+    part = np.partition(np.abs(finest), k, axis=-1)
+    return (part[..., :k].max(axis=-1) + part[..., k]) / 2.0 / MAD_SCALE
+
+
+def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
+    """Soft threshold of an array as ``coeffs - clip(coeffs, -lam, lam)``.
+
+    Equal to :func:`soft_threshold` bit for bit except that every killed
+    coefficient is +0.0 where soft_threshold keeps the sign of zero; a dot
+    with the newest-sample weights starts its sum at +0.0, so the estimates
+    are the same bits.  Shared by the stacked estimate and the prefix kernel.
+    """
+    return coeffs - np.clip(coeffs, -lam, lam)
 
 
 def _thresholds(
@@ -239,7 +261,7 @@ def _estimate_rows(
     lam, sigma = _thresholds(
         cfg, basis.n, n_used, rows, lambda: basis.finest(windows, fold=fold)
     )
-    shrunk = soft_threshold(basis.coefficients(windows, fold=fold), lam[:, None])
+    shrunk = _shrink(basis.coefficients(windows, fold=fold), lam[:, None])
     return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
 
 
@@ -348,8 +370,10 @@ def bound_report(
     """Evaluate all three bounds for a noiseless dyadic-length ground truth.
 
     The sparsity bound is computed against the same transform arrangement the
-    estimator uses (reflect-folded by default).
+    estimator uses (reflect-folded by default).  An unknown family or a
+    boundary other than reflect/periodic raises ``ValueError``.
     """
+    _require_transform(boundary, family)
     theta = _check_dyadic(theta)
     fold = boundary == "reflect"
     basis = support_basis(family, 2 * len(theta) if fold else len(theta))

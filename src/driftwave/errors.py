@@ -17,6 +17,10 @@ class TooShort(DriftwaveError):
     """Input series has too few observations."""
 
 
+class HorizonTooLarge(DriftwaveError):
+    """Transform length whose support basis would exceed the memory budget."""
+
+
 class DomainError(DriftwaveError):
     """Parameters leave the formula's domain (e.g. log of a non-positive value)."""
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,22 +31,31 @@ class LossSeries:
     losses: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _shared_ids(model_ids: tuple[str, ...]) -> tuple[str, ...]:
+    """One tuple per distinct id sequence, so the results of one panel share
+    it instead of each holding its own."""
+    return model_ids
+
+
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class SelectionResult:
     """The chosen model id, and per model (in panel order) its denoised and
     raw latest loss, with the configuration that produced them.
 
-    Stored compactly; ``scores`` and ``config`` build the dicts when read.
-    ``SelectionResult(chosen, scores, config)`` takes those dicts (or a
-    :class:`DenoiseConfig` for ``config``), so it and ``dataclasses.replace``
-    with any of the three names work as on a dict-backed result.  Two results
-    are equal when their choice, scores and config are.
+    Stored packed: the model ids (one tuple shared by the results of a
+    panel), one immutable buffer of float64 holding the denoised losses then
+    the raw ones, and the configuration as given; ``scores`` and ``config``
+    build the dicts when read.  ``SelectionResult(chosen, scores, config)``
+    takes those dicts (or a :class:`DenoiseConfig` for ``config``), so it and
+    ``dataclasses.replace`` with any of the three names work as on a
+    dict-backed result.  Two results are equal when their choice, scores and
+    config are.
     """
 
     chosen: str
     model_ids: tuple[str, ...] = field(init=False)
-    denoised: array = field(init=False)  # array("d"), one entry per model
-    raw: array = field(init=False)
+    packed: bytes = field(init=False)  # float64: denoised per model, then raw
     cfg: DenoiseConfig | dict = field(init=False)
     # Constructor arguments only.  The properties of the same name below are
     # their defaults, so dataclasses.replace reads them back from the result.
@@ -54,34 +63,36 @@ class SelectionResult:
     config: InitVar[dict]
 
     def __init__(self, chosen: str, scores: dict, config: DenoiseConfig | dict):
+        denoised = [s["denoised"] for s in scores.values()]
+        raw = [s["raw"] for s in scores.values()]
         self._store(
             chosen,
-            tuple(scores),
-            array("d", (s["denoised"] for s in scores.values())),
-            array("d", (s["raw"] for s in scores.values())),
+            _shared_ids(tuple(scores)),
+            np.array(denoised + raw, dtype=np.float64).tobytes(),
             config if isinstance(config, DenoiseConfig) else dict(config),
         )
 
     @classmethod
-    def _compact(cls, chosen, model_ids, denoised, raw, cfg) -> SelectionResult:
+    def _packed(cls, chosen, model_ids, packed, cfg) -> SelectionResult:
         """A result from its stored parts, without building the dicts."""
         result = object.__new__(cls)
-        result._store(chosen, model_ids, denoised, raw, cfg)
+        result._store(chosen, model_ids, packed, cfg)
         return result
 
-    def _store(self, chosen, model_ids, denoised, raw, cfg) -> None:
+    def _store(self, chosen, model_ids, packed, cfg) -> None:
         object.__setattr__(self, "chosen", chosen)
         object.__setattr__(self, "model_ids", model_ids)
-        object.__setattr__(self, "denoised", denoised)
-        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "cfg", cfg)
 
     @property
     def scores(self) -> dict:
         """model id -> {"denoised": float, "raw": float}, in panel order."""
+        values = memoryview(self.packed).cast("d").tolist()
+        n = len(self.model_ids)
         return {
             mid: {"denoised": d, "raw": r}
-            for mid, d, r in zip(self.model_ids, self.denoised, self.raw)
+            for mid, d, r in zip(self.model_ids, values[:n], values[n:])
         }
 
     @property
@@ -131,10 +142,10 @@ def select(
     denoised, _, _ = _estimate_rows(dyadic_truncate(losses), cfg)
     if clamp:
         denoised = np.clip(denoised, losses.min(axis=1), losses.max(axis=1))
-    chosen = min(zip(denoised.tolist(), ids))[1]
-    return SelectionResult._compact(
-        chosen, tuple(ids), array("d", denoised), array("d", losses[:, -1]), cfg
-    )
+    model_ids = _shared_ids(tuple(ids))
+    chosen = min(zip(denoised.tolist(), model_ids))[1]
+    packed = np.concatenate((denoised, losses[:, -1])).tobytes()
+    return SelectionResult._packed(chosen, model_ids, packed, cfg)
 
 
 def ingest_panel(stream) -> list[LossSeries]:

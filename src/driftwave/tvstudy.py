@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bench import _piecewise_constant_tv, make_method
+from .denoise import _require_finite_params
 from .errors import LengthMismatch
 
 
@@ -30,8 +31,11 @@ class TVStudySpec:
     delta: float = 0.1
 
     def __post_init__(self):
+        _require_finite_params(tv_radius=self.tv_radius, sigma=self.sigma, delta=self.delta)
         if self.tv_radius < 0 or self.sigma < 0:
             raise ValueError("tv_radius and sigma must be nonnegative")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         grid = tuple(self.n_grid)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPowerOfTwo
+from .errors import HorizonTooLarge, LengthMismatch, NonPowerOfTwo
 
 # Minimum-phase Daubechies low-pass taps, normalized so the taps sum to
 # sqrt(2).  DBk has k vanishing moments and 2k taps; Haar is DB1.  Values
@@ -126,6 +126,12 @@ FAMILY_NAMES = tuple(_FILTERS)
 # |entry| below this is treated as a structural zero of the matrix; true
 # zeros of the cascade are exact or <= 1e-15 after rounding.
 SUPPORT_EPS = 1e-12
+
+# Largest support basis (rows plus folded rows) that support_basis builds.
+# A db8 basis takes ~270 MB at transform length 2**17 (a reflect-folded
+# series of 2**16) and ~12 GB at 2**22, which would end in an out-of-memory
+# kill rather than an error.
+SUPPORT_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -436,15 +442,31 @@ class SupportBasis:
         """Finest-level detail coefficients (the last n/2 of the transform) of
         each window, arranged as in :meth:`coefficients`.
 
-        One windowed product: coefficient i is the high-pass taps against
-        samples 2i .. 2i + L - 1 of the periodized vector, all read through
-        one strided view."""
-        if fold:
-            windows = np.concatenate([windows[..., ::-1], windows], axis=-1)
+        The periodized vector (the reflect fold or the window itself) and its
+        wrap, L - 2 samples for L taps (several periods when the filter is
+        longer than the vector), are written into one buffer; one strided view
+        of it holds samples 2i .. 2i + L - 1 as row i, so one product with the
+        high-pass taps gives every coefficient.  The buffer keeps the sample
+        axis outermost in memory, the layout these coefficients' rounding was
+        fixed with: a window-major buffer rounds some of them differently in
+        the last bit."""
         g = self.family.highpass
-        m = windows.shape[-1]
-        ext = windows[..., np.arange(m + len(g) - 2) % m]
-        return np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[..., ::2, :] @ g
+        w = windows.shape[-1]
+        m = 2 * w if fold else w
+        buf = np.empty((m + len(g) - 2,) + windows.shape[:-1])
+        ext = buf.T
+        if fold:
+            ext[..., :w] = windows[..., ::-1]
+        ext[..., m - w : m] = windows
+        for start in range(m, ext.shape[-1], m):
+            stop = min(start + m, ext.shape[-1])
+            ext[..., start:stop] = ext[..., : stop - start]
+        step = ext.strides[-1]
+        rows = np.ndarray(
+            ext.shape[:-1] + (m // 2, len(g)), buffer=buf,
+            strides=ext.strides[:-1] + (2 * step, step),
+        )
+        return rows @ g
 
 
 @lru_cache(maxsize=64)
@@ -454,6 +476,9 @@ def support_basis(family_name: str, n: int) -> SupportBasis:
     The support is read off the pyramid analysis of the unit impulse at the
     newest sample (that is the last column of W); each support row is the
     pyramid synthesis of its unit coefficient vector.  Cost O(n |S| L).
+    Raises :class:`HorizonTooLarge`, before building the rows, when the rows
+    and folded rows (|S| n 8 * 1.5 bytes) would exceed
+    ``SUPPORT_BUDGET_BYTES``.
     """
     family = get_family(family_name)
     _check_length(n)
@@ -461,6 +486,12 @@ def support_basis(family_name: str, n: int) -> SupportBasis:
     impulse[-1] = 1.0
     column = pyramid_analysis(family, impulse)
     support = np.flatnonzero(np.abs(column) > SUPPORT_EPS)
+    nbytes = len(support) * n * 8 * 3 // 2
+    if nbytes > SUPPORT_BUDGET_BYTES:
+        raise HorizonTooLarge(
+            f"the {family.name} support basis at transform length {n} needs "
+            f"{nbytes / 2**20:.0f} MB, over the {SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
+        )
     units = np.zeros((len(support), n))
     units[np.arange(len(support)), support] = 1.0
     rows = pyramid_synthesis(family, units)

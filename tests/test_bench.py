@@ -248,6 +248,15 @@ class TestBoundProfile:
         with pytest.raises(NonFiniteValue):
             bound_profile(theta, NoiseSpec("uniform", (0.3,)), ("haar",))
 
+    @pytest.mark.parametrize("boundary", ["zero", "Periodic", ""])
+    def test_unknown_boundary_rejected(self, boundary):
+        with pytest.raises(ValueError, match="boundary"):
+            bound_profile(np.ones(16), NoiseSpec("uniform", (0.3,)), ("haar",), boundary=boundary)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown wavelet family 'db9'"):
+            bound_profile(np.ones(16), NoiseSpec("uniform", (0.3,)), ("haar", "db9"))
+
     def test_csv_shape(self):
         theta = np.ones(16)
         prof = bound_profile(theta, NoiseSpec("uniform", (0.1, 0.2)), ("haar", "db2"))

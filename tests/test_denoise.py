@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftwave.denoise import (
+    MAD_SCALE,
     DenoiseConfig,
+    _mad_rows,
     bound_report,
     default_lambda,
     denoise_signal,
@@ -24,6 +26,7 @@ from driftwave._kernels import wavelet_prefix_estimates
 from driftwave.bench import NoiseSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.selection import LossSeries, select
+from driftwave.tvstudy import TVStudySpec
 from driftwave.wavelets import CoefficientVector, cached_matrix, forward, last_column_support
 
 
@@ -105,9 +108,19 @@ class TestEstimateLatest:
         assert est.n_used == 32
 
     def test_huge_lambda_kills_everything(self):
-        y = np.sin(np.arange(64))
-        est = estimate_latest(y, DenoiseConfig(sigma=1.0, lambda_override=1e6))
-        assert est.value == 0.0
+        # +0.0 whatever the signs of the killed coefficients, in the estimate
+        # and in the sweep, so JSON output never reads -0.0
+        for family, boundary in [("haar", "reflect"), ("db8", "reflect"), ("db8", "periodic")]:
+            for y in (np.sin(np.arange(64)), -1.0 - np.arange(64.0)):
+                cfg = DenoiseConfig(
+                    family=family, sigma=1.0, lambda_override=1e6, boundary=boundary
+                )
+                value = estimate_latest(y, cfg).value
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+                sweep = wavelet_prefix_estimates(
+                    y, family, sigma=1.0, delta=0.1, lam_override=1e6, boundary=boundary
+                )
+                assert not sweep[1:].any() and not np.signbit(sweep[1:]).any()
 
     def test_constant_signal_deviation_bound(self):
         n = 8
@@ -198,6 +211,30 @@ class TestMadSigma:
             rng = np.random.default_rng(seed)
             estimates.append(mad_sigma(forward(W, rng.normal(0.0, 1.0, 1024))))
         assert 0.9 <= np.median(estimates) <= 1.1
+
+
+class TestMadRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        half=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["normal", "ties", "zeros", "tiny"]),
+    )
+    def test_bit_identical_to_np_median(self, rows, half, seed, values):
+        # an even count per row, as every finest level has
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, 2 * half))
+        if values == "ties":
+            x = rng.integers(-3, 4, size=x.shape) * 0.25
+        elif values == "zeros":
+            x[:, : rng.integers(0, 2 * half + 1)] = 0.0
+            x[:, ::3] = -0.0
+        elif values == "tiny":
+            x = x * 5e-324
+        want = np.median(np.abs(x), axis=-1) / MAD_SCALE
+        assert _mad_rows(x).tobytes() == want.tobytes()
+        assert _mad_rows(x[0]).tobytes() == want[0].tobytes()
 
 
 class TestSparsityBound:
@@ -345,6 +382,15 @@ class TestHelpers:
         assert rep.haar_variational <= rep.tv_variational + 1e-12
         assert 1 <= rep.r_star <= 64
 
+    @pytest.mark.parametrize("boundary", ["zero", "Reflect", ""])
+    def test_bound_report_rejects_unknown_boundary(self, boundary):
+        with pytest.raises(ValueError, match="boundary"):
+            bound_report(_THETA, 0.2, 0.1, boundary=boundary)
+
+    def test_bound_report_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown wavelet family 'db9'"):
+            bound_report(_THETA, 0.2, 0.1, family="db9")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DenoiseConfig(delta=1.2)
@@ -384,6 +430,9 @@ _PARAMETER_CALLS = {
     "tv bound sigma": lambda v: tv_variational_bound(_THETA, v, 0.1),
     "tv bound delta": lambda v: tv_variational_bound(_THETA, 0.1, v),
     "noise level": lambda v: NoiseSpec("uniform", (0.2, v)),
+    "tv study sigma": lambda v: TVStudySpec(1.0, v, (64,), 2),
+    "tv study radius": lambda v: TVStudySpec(v, 1.0, (64,), 2),
+    "tv study delta": lambda v: TVStudySpec(1.0, 1.0, (64,), 2, delta=v),
 }
 
 

@@ -267,6 +267,23 @@ class TestBatchedSelect:
         retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
         assert retained / len(results) < 1024
 
+    def test_result_retains_under_320_bytes_on_an_8_model_panel(self):
+        # the object, one 128-byte buffer of the 16 losses, and the list slot;
+        # the ids tuple is shared by every result of the panel
+        panel = drifting_panel(5, 8, 1500)
+        cfg = DenoiseConfig(family="db8", sigma="mad")
+        select(panel, cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            results = [select(panel, cfg) for _ in range(200)]
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(d.size_diff for d in after.compare_to(before, "filename"))
+        assert retained / len(results) <= 320
+        assert len({id(r.model_ids) for r in results}) == 1
+
 
 class TestIngestPanel:
     def test_two_models(self):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import driftwave
 from driftwave import _kernels, bench, cli, denoise, selection, tvstudy, wavelets
 from driftwave.denoise import MAD_SCALE, DenoiseConfig, default_lambda, reflect_fold
-from driftwave.errors import LengthMismatch, TooShort
+from driftwave.errors import DriftwaveError, HorizonTooLarge, LengthMismatch, TooShort
 from driftwave.wavelets import (
     FAMILY_NAMES,
     SupportBasis,
@@ -101,9 +101,9 @@ class TestBasisMatchesDense:
                 basis.coefficients(w, fold=True), W[basis.support] @ np.r_[w[::-1], w],
                 rtol=0, atol=TOL,
             )
-            x = rng.normal(size=n)
+            x = rng.normal(size=(2, n))  # stacked windows, periodic
             np.testing.assert_allclose(
-                basis.finest(x, fold=False), (W @ x)[n // 2 :], rtol=0, atol=TOL
+                basis.finest(x, fold=False), (x @ W.T)[:, n // 2 :], rtol=0, atol=TOL
             )
             stack = rng.normal(size=(3, n // 2))  # stacked windows, folded
             np.testing.assert_allclose(
@@ -111,6 +111,27 @@ class TestBasisMatchesDense:
                 (np.concatenate([stack[:, ::-1], stack], axis=1) @ W.T)[:, n // 2 :],
                 rtol=0, atol=TOL,
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), k=st.integers(0, 10), family=families,
+        boundary=boundaries, rows=st.integers(1, 8),
+    )
+    def test_finest_bits_match_the_gathered_windows(self, seed, k, family, boundary, rows):
+        """The MAD sigma's input, bit for bit: the periodized vector gathered
+        by index, as sliding windows, times the high-pass taps."""
+        fold = boundary == "reflect"
+        w = 1 << k
+        if not fold and w < 2:
+            return
+        x = drifting_series(seed, rows * w).reshape(rows, w)
+        vec = np.concatenate([x[:, ::-1], x], axis=1) if fold else x
+        g = get_family(family).highpass
+        m = vec.shape[1]
+        ext = vec[:, np.arange(m + len(g) - 2) % m]
+        want = np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[:, ::2, :] @ g
+        got = support_basis(family, m).finest(x, fold=fold)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
     @pytest.mark.parametrize("n", [2, 4, 16, 256])
@@ -124,6 +145,23 @@ class TestBasisMatchesDense:
         # one coefficient per level plus the approximation for Haar
         assert len(support_basis("haar", 2048).support) == 12
         assert len(support_basis("db8", 2048).support) == 101
+
+    def test_horizon_over_the_byte_budget_refused(self, monkeypatch):
+        # db8 at n = 2048: 101 rows of 2048 float64, and half that folded
+        need = 101 * 2048 * 8 * 3 // 2
+        support_basis.cache_clear()
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need)
+        assert len(support_basis("db8", 2048).support) == 101
+        support_basis.cache_clear()
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need - 1)
+        with pytest.raises(HorizonTooLarge, match="db8 support basis at transform length 2048"):
+            support_basis("db8", 2048)
+        # the library boundary: a typed error, not a failed allocation
+        with pytest.raises(DriftwaveError):
+            denoise.estimate_latest(np.ones(1024), DenoiseConfig(family="db8"))
+        with pytest.raises(DriftwaveError):
+            _kernels.wavelet_prefix_estimates(np.ones(1500), "db8", sigma=0.1, delta=0.1)
+        support_basis.cache_clear()
 
 
 class TestSlidingMatchesWindows:

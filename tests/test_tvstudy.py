@@ -59,6 +59,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TVStudySpec(-1.0, 1.0, (64,), 2)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0, -0.1])
+    def test_delta_inside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            TVStudySpec(1.0, 1.0, (64,), 2, delta=delta)
+
 
 class TestRunStudy:
     def test_zero_noise_passthrough_gives_zero_risk(self):
