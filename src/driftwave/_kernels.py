@@ -17,19 +17,17 @@ kernel is pinned to.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .denoise import (
     DenoiseConfig,
-    _lambda_root,
     _mad_rows,
+    _noise_scale,
     _require_finite,
     _shrink,
+    _threshold,
     estimate_latest,
 )
-from .errors import DomainError
 from .wavelets import SupportBasis, support_basis
 
 # Samples per block of windows in the MAD noise scale: the block's reflect
@@ -52,27 +50,24 @@ def _mad_sigma(basis: SupportBasis, y, m: int, count: int, fold: bool) -> np.nda
     return sig
 
 
-def _prefix_kernel(y, family, sigma, delta, lam_override, use_mad, fold, out):
+def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+    """out[t - 1] = the estimate from y[:t], one dyadic window size at a
+    time, thresholded by the estimator's own noise-scale and threshold rule."""
     T = y.shape[0]
+    fold = cfg.boundary == "reflect"
     out[0] = y[0]
     for k in range(1, _floor_log2(T) + 1):
         m = 1 << k
         lo_t, hi_t = m, min(2 * m - 1, T)
-        if use_mad and not fold and m < 4:
+        if isinstance(cfg.sigma, str) and not fold and m < 4:
             out[lo_t - 1 : hi_t] = y[lo_t - 1 : hi_t]
             continue
-        basis = support_basis(family, 2 * m if fold else m)
+        basis = support_basis(cfg.family, 2 * m if fold else m)
         count = hi_t - m + 1
         B = basis.sliding(y, count, fold=fold)
-        if lam_override >= 0.0:
-            lam = lam_override
-        elif use_mad:
-            sig = _mad_sigma(basis, y, m, count, fold)
-            lam = (2.0 * _lambda_root(delta, m) * sig)[:, None]
-        elif sigma == 0.0:
-            lam = 0.0
-        else:
-            lam = 2.0 * sigma * _lambda_root(delta, m)
+        lam = _threshold(
+            cfg, m, lambda: _noise_scale(cfg, basis.n, lambda: _mad_sigma(basis, y, m, count, fold))
+        )
         out[lo_t - 1 : hi_t] = _shrink(B, lam) @ basis.weights
     return out
 
@@ -97,7 +92,7 @@ def wavelet_prefix_estimates(
     raise :class:`NonFiniteValue`; the parameters are checked as
     :class:`DenoiseConfig` checks them (``ValueError``).
     """
-    DenoiseConfig(
+    cfg = DenoiseConfig(
         family=family, sigma=sigma, delta=delta, lambda_override=lam_override, boundary=boundary
     )
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -105,16 +100,7 @@ def wavelet_prefix_estimates(
     if T == 0:
         return np.empty(0)
     _require_finite(y)
-    fold = boundary == "reflect"
-    use_mad = isinstance(sigma, str)
-    sig = 0.0 if use_mad else float(sigma)
-    lam = -1.0 if lam_override is None else float(lam_override)
-    if lam < 0.0 and T >= 2 and (use_mad or sig > 0.0):
-        if math.log(2) / delta <= 1.0:
-            raise DomainError(
-                f"delta = {delta} leaves the threshold undefined at window size 2"
-            )
-    return _prefix_kernel(y, family, sig, delta, lam, use_mad, fold, np.empty(T))
+    return _prefix_kernel(y, cfg, np.empty(T))
 
 
 def prefix_estimates_reference(

@@ -5,7 +5,7 @@ time t each method estimates the current ground-truth value from the
 observation prefix y[1..t] (current point included), and the squared errors
 are averaged over all time-points.  Trials are independently seeded
 (``base_seed + trial``) and reduced in trial order, so reports are
-bit-identical regardless of worker count.
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,20 +141,16 @@ class NoiseSpec:
 
 
 class WaveletMethod:
-    """Soft-thresholding estimator run over every prefix (hot kernel path)."""
+    """Soft-thresholding estimator run over every prefix (hot kernel path),
+    under the reflect boundary."""
 
-    def __init__(
-        self,
-        family: str,
-        sigma_mode: str = "known",
-        name: str | None = None,
-        boundary: str = "reflect",
-    ):
+    boundary = "reflect"
+
+    def __init__(self, family: str, sigma_mode: str = "known", name: str | None = None):
         if sigma_mode not in ("known", "mad"):
             raise ValueError(f"sigma_mode must be 'known' or 'mad', got {sigma_mode!r}")
         self.family = family
         self.sigma_mode = sigma_mode
-        self.boundary = boundary
         self.name = name or (family if sigma_mode == "known" else f"{family}_mad")
 
     def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
@@ -309,7 +304,6 @@ def run_online_eval(
     base_seed: int,
     *,
     delta: float = 0.1,
-    threads: int = 1,
 ) -> RiskReport:
     """Evaluate methods online over seeded noisy trials.
 
@@ -343,13 +337,7 @@ def run_online_eval(
                 out[li, mi] = float(np.mean((est - theta) ** 2))
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(one_trial, range(trials)))
-    else:
-        per_trial = [one_trial(k) for k in range(trials)]
-
-    stacked = np.stack(per_trial)  # trial order fixed regardless of workers
+    stacked = np.stack([one_trial(k) for k in range(trials)])
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
     return RiskReport(names, tuple(noise.levels), mean, std, trials, base_seed)
@@ -408,9 +396,7 @@ def bound_profile(
         totals = np.zeros(len(noise.levels))
         for k in range(1, n.bit_length()):
             m = 1 << k
-            lo_t, hi_t = m, min(2 * m - 1, n)
-            if lo_t > n:
-                break
+            hi_t = min(2 * m - 1, n)
             basis = support_basis(family, 2 * m if fold else m)
             wts = 6.0 * np.abs(basis.weights)
             coeff_abs = np.abs(basis.sliding(theta, hi_t - m + 1, fold=fold))  # (prefixes, |S|)

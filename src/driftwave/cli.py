@@ -180,7 +180,6 @@ def cmd_bench(args) -> int:
             trials=trials,
             base_seed=args.seed,
             delta=float(spec.get("delta", 0.1)),
-            threads=args.threads,
         )
     except (ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
@@ -203,7 +202,7 @@ def cmd_tvscale(args) -> int:
             estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
             delta=float(raw.get("delta", 0.1)),
         )
-        fit = run_tv_study(spec, base_seed=args.seed, threads=args.threads)
+        fit = run_tv_study(spec, base_seed=args.seed)
     except (ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
     if args.format == "json":
@@ -289,14 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="JSON benchmark spec (see README)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None, help="override the spec's trial count")
-    p.add_argument("--threads", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("tvscale", help="risk-scaling study over bounded-variation truths")
     p.add_argument("spec", help="JSON study spec (see README)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(fn=cmd_tvscale)
 

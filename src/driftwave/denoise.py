@@ -39,16 +39,15 @@ class DenoiseConfig:
 
     ``sigma`` is the noise scale, or the string ``"mad"`` to estimate it from
     the finest-level coefficients of the observed window.  ``lambda_override``
-    bypasses the default threshold entirely.  The only truncation policy is
-    ``"dyadic"``: keep the most recent ``2**floor(log2(len))`` observations,
-    so the estimand's time-point stays at the matrix boundary untouched.
+    bypasses the default threshold entirely.  The estimator keeps the most
+    recent ``2**floor(log2(len))`` observations, so the estimand's
+    time-point stays at the matrix boundary untouched.
     """
 
     family: str = "haar"
     sigma: float | str = "mad"
     delta: float = 0.1
     lambda_override: float | None = None
-    truncation: str = "dyadic"
     boundary: str = "reflect"
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class DenoiseConfig:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.lambda_override is not None and self.lambda_override < 0:
             raise ValueError(f"lambda_override must be nonnegative, got {self.lambda_override}")
-        if self.truncation != "dyadic":
-            raise ValueError(f"unsupported truncation policy {self.truncation!r}")
         _require_transform(self.boundary, self.family)
 
     def to_dict(self) -> dict:
@@ -118,17 +115,21 @@ def default_lambda(sigma: float, delta: float, n: int) -> float:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if sigma == 0.0:
+    return _default_threshold(sigma, delta, n)
+
+
+def _default_threshold(sigma, delta: float, n: int):
+    """2*sigma*sqrt(2 ln(ln(n)/delta)) for a float sigma or a column of them:
+    the one threshold rule.  When every sigma is 0 it is 0 without the log
+    term, which may be undefined there."""
+    if not (sigma.any() if isinstance(sigma, np.ndarray) else sigma):
         return 0.0
-    return 2.0 * sigma * _lambda_root(delta, n)
-
-
-def _lambda_root(delta: float, n: int) -> float:
-    """sqrt(2 ln(ln(n)/delta)): the default threshold per unit of 2 sigma."""
     t = math.log(n) / delta
     if t <= 1.0:
         raise DomainError(f"ln(n)/delta = {t:.6g} <= 1 leaves the threshold undefined")
-    return math.sqrt(2.0 * math.log(t))
+    # doubling is exact, so 2*root*sigma has the bits of 2*sigma*root, with one
+    # array product for a column
+    return 2.0 * math.sqrt(2.0 * math.log(t)) * sigma
 
 
 def kappa(n: int, delta: float) -> float:
@@ -223,45 +224,47 @@ def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
     return coeffs - np.clip(coeffs, -lam, lam)
 
 
-def _thresholds(
-    cfg: DenoiseConfig, n_vec: int, n_used: int, rows: int, finest
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, sigma_used) of each of ``rows`` windows of n_used observations
-    under a transform of length n_vec; ``finest()`` gives their finest-level
-    coefficients, which are computed only when MAD needs them."""
+def _noise_scale(cfg: DenoiseConfig, n_vec: int, mad):
+    """Noise scale of windows under a transform of length n_vec: the known
+    sigma as a float, or ``mad()`` (their MAD noise scales, one per window,
+    computed only here) as a column.  With a lambda override a window too
+    short for MAD reports 0."""
     if not isinstance(cfg.sigma, str):
-        sigma = np.full(rows, float(cfg.sigma))
-    elif n_vec >= 4:
-        sigma = _mad_rows(finest())
-    elif cfg.lambda_override is not None:
-        sigma = np.zeros(rows)
-    else:
-        raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
+        return float(cfg.sigma)
+    if n_vec >= 4:
+        return mad()[:, None]
     if cfg.lambda_override is not None:
-        return np.full(rows, float(cfg.lambda_override)), sigma
-    if not sigma.any():  # as in default_lambda: no noise, no shrinkage
-        return np.zeros(rows), sigma
-    return 2.0 * sigma * _lambda_root(cfg.delta, n_used), sigma
+        return 0.0
+    raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
+
+
+def _threshold(cfg: DenoiseConfig, n_used: int, sigma):
+    """Threshold of windows of n_used observations: the override, else the
+    default threshold of ``sigma()``, which is read only then.  A float or a
+    column, as the noise scale is."""
+    if cfg.lambda_override is not None:
+        return float(cfg.lambda_override)
+    return _default_threshold(sigma(), cfg.delta, n_used)
 
 
 def _estimate_rows(
     windows: np.ndarray, cfg: DenoiseConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """(value, lambda, sigma_used) of each row of a (B, n_used) stack of
-    finite dyadic windows, oldest to newest.
+    finite dyadic windows, oldest to newest; lambda and sigma_used are a
+    float shared by every row or a (B, 1) column.
 
     One support-basis lookup, one MAD pass, one threshold and one
     reconstruction for the whole stack.  Each row goes through the same
     steps (the products are stacked vector products), so a row's results do
     not depend on the rows stacked with it.
     """
-    rows, n_used = windows.shape
+    n_used = windows.shape[1]
     fold = cfg.boundary == "reflect"
     basis = support_basis(cfg.family, 2 * n_used if fold else n_used)
-    lam, sigma = _thresholds(
-        cfg, basis.n, n_used, rows, lambda: basis.finest(windows, fold=fold)
-    )
-    shrunk = _shrink(basis.coefficients(windows, fold=fold), lam[:, None])
+    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(basis.finest(windows, fold=fold)))
+    lam = _threshold(cfg, n_used, lambda: sigma)
+    shrunk = _shrink(basis.coefficients(windows, fold=fold), lam)
     return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
 
 
@@ -277,7 +280,8 @@ def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     """
     window = _window(y)
     values, lam, sigma = _estimate_rows(window[None, :], cfg)
-    return Estimate(float(values[0]), float(lam[0]), float(sigma[0]), len(window))
+    lam, sigma = float(np.ravel(lam)[0]), float(np.ravel(sigma)[0])
+    return Estimate(float(values[0]), lam, sigma, len(window))
 
 
 def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
@@ -287,8 +291,10 @@ def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     vec = reflect_fold(window) if cfg.boundary == "reflect" else window
     family = get_family(cfg.family)
     beta = pyramid_analysis(family, vec)
-    lam, _ = _thresholds(cfg, len(vec), n_used, 1, lambda: beta[None, len(vec) // 2 :])
-    return pyramid_synthesis(family, soft_threshold(beta, float(lam[0])))[len(vec) - n_used :]
+    finest = beta[None, len(vec) // 2 :]
+    lam = _threshold(cfg, n_used, lambda: _noise_scale(cfg, len(vec), lambda: _mad_rows(finest)))
+    shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
+    return pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
 
 
 def sparsity_bound(
@@ -343,21 +349,19 @@ def haar_variational_bound(
 
 
 def tv_variational_bound(
-    theta: np.ndarray, sigma: float, delta: float, *, literal: bool = False
+    theta: np.ndarray, sigma: float, delta: float
 ) -> tuple[float, int, float, float]:
     """Total-variation variant of the variational bound.
 
     The window bias is replaced by the total variation of the t most recent
-    values.  ``literal=True`` subtracts the newest value inside the absolute
-    value before maximizing; the default does not, which keeps the plain
+    values (the newest value is not subtracted), which keeps the plain
     window bound dominated by this one for every r.
     """
     theta = _check_dyadic(theta)
     n = len(theta)
     recent_first = theta[::-1]
     tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(recent_first)))))
-    profile = np.abs(tv - theta[-1]) if literal else tv
-    return _variational_scan(profile, sigma, n, delta)
+    return _variational_scan(tv, sigma, n, delta)
 
 
 def bound_report(

@@ -9,7 +9,6 @@ expose the empirical scaling exponent.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,30 +92,23 @@ def _fit_loglog(n_grid: np.ndarray, means: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def run_tv_study(spec: TVStudySpec, base_seed: int, *, threads: int = 1) -> ScalingFit:
-    """Run the study; deterministic given base_seed, independent of threads.
+def run_tv_study(spec: TVStudySpec, base_seed: int) -> ScalingFit:
+    """Run the study; deterministic given base_seed.
 
-    Trial streams are seeded by (base_seed, n, trial), so horizons can run in
-    any order or in parallel without changing the draws.
+    Trial streams are seeded by (base_seed, n, trial), so the draws of a
+    horizon do not depend on the other horizons or on the trial count.
     """
     estimator = make_method(dict(spec.estimator))
     grid = tuple(spec.n_grid)
 
-    def one(job: tuple[int, int]) -> tuple[float, float]:
-        n, trial = job
+    def one(n: int, trial: int) -> tuple[float, float]:
         rng = np.random.default_rng([base_seed, n, trial])
         theta = _piecewise_constant_tv(n, spec.tv_radius, rng)
         y = theta + rng.normal(0.0, spec.sigma, n)
         est = estimator.prefix_estimates(y, spec.sigma, spec.delta)
         return risk(est, theta, "sq"), risk(est, theta, "abs")
 
-    jobs = [(n, trial) for n in grid for trial in range(spec.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-
+    results = [one(n, trial) for n in grid for trial in range(spec.trials)]
     per_n = np.array(results, dtype=np.float64).reshape(len(grid), spec.trials, 2)
     mean = per_n.mean(axis=1)
     std = per_n.std(axis=1, ddof=1) if spec.trials > 1 else np.zeros_like(mean)

@@ -113,12 +113,12 @@ class TestOnlineEval:
         b = run_online_eval(spec, noise, methods(), trials=3, base_seed=42)
         assert a.to_csv() == b.to_csv()
 
-    def test_thread_count_does_not_change_result(self):
+    def test_deterministic_with_resampled_truth(self):
         spec = SignalSpec("piecewise_constant", 90, tv_radius=1.0)
         noise = NoiseSpec("gaussian", (0.3,))
         methods = lambda: [WaveletMethod("db2"), AdaptiveWindowMethod()]
-        a = run_online_eval(spec, noise, methods(), trials=4, base_seed=5, threads=1)
-        b = run_online_eval(spec, noise, methods(), trials=4, base_seed=5, threads=4)
+        a = run_online_eval(spec, noise, methods(), trials=4, base_seed=5)
+        b = run_online_eval(spec, noise, methods(), trials=4, base_seed=5)
         assert a.to_csv() == b.to_csv()
 
     def test_fixed_signal_shared_across_trials(self):

@@ -15,15 +15,29 @@ from driftwave.denoise import DenoiseConfig, estimate_latest
 PACKAGE_ROOT = str(Path(driftwave.__file__).resolve().parent.parent)
 
 
-def run_cli(*argv, stdin=None):
+def run_python(*argv, stdin=None):
     path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "driftwave", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         input=stdin,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
+
+
+def run_cli(*argv, stdin=None):
+    return run_python("-m", "driftwave", *argv, stdin=stdin)
+
+
+def test_import_starts_no_executor_machinery():
+    """A fresh ``import driftwave`` loads no ``concurrent.futures``, nor the
+    logging, queue and traceback modules it brings: several milliseconds of
+    every start-up."""
+    proc = run_python("-c", "import sys, driftwave; print(sorted(set(sys.modules) & "
+                      "{'concurrent.futures', 'logging', 'queue', 'traceback'}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -148,17 +162,14 @@ class TestBench:
         proc = run_cli("bench", str(path), "--seed", "1")
         assert proc.returncode == 3
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         path = self.write_spec(
             tmp_path,
             signal={"kind": "random_coin", "n_points": 50},
             methods=[{"kind": "wavelet", "family": "haar"}],
             trials=3,
         )
-        outs = [
-            run_cli("bench", str(path), "--seed", "9", "--threads", str(k)).stdout
-            for k in (1, 4, 1)
-        ]
+        outs = [run_cli("bench", str(path), "--seed", "9").stdout for _ in range(3)]
         assert outs[0] == outs[1] == outs[2]
 
 
@@ -181,7 +192,7 @@ class TestTvscale:
             cells = line.split(",")
             assert cells[1] == "0.0" and cells[3] == "0.0"
 
-    def test_byte_identical_across_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         spec = {
             "tv_radius": 1.0,
             "sigma": 0.5,
@@ -191,8 +202,8 @@ class TestTvscale:
         }
         path = tmp_path / "tv.json"
         path.write_text(json.dumps(spec))
-        a = run_cli("tvscale", str(path), "--seed", "4", "--threads", "1").stdout
-        b = run_cli("tvscale", str(path), "--seed", "4", "--threads", "4").stdout
+        a = run_cli("tvscale", str(path), "--seed", "4").stdout
+        b = run_cli("tvscale", str(path), "--seed", "4").stdout
         assert a == b
 
 

@@ -329,12 +329,6 @@ class TestVariationalBounds:
         ut, _, _, _ = tv_variational_bound(theta, 0.1, 0.1)
         assert ut >= u
 
-    def test_literal_variant_differs(self):
-        theta = np.concatenate([np.zeros(32), np.full(32, 2.0)])
-        default = tv_variational_bound(theta, 0.1, 0.1)[0]
-        literal = tv_variational_bound(theta, 0.1, 0.1, literal=True)[0]
-        assert default != literal
-
     def test_non_dyadic_rejected(self):
         with pytest.raises(NonDyadicLength):
             haar_variational_bound(np.zeros(100), 0.1, 0.1)
@@ -404,8 +398,6 @@ class TestHelpers:
             DenoiseConfig(family="db9")
         with pytest.raises(ValueError):
             DenoiseConfig(boundary="zero")
-        with pytest.raises(ValueError):
-            DenoiseConfig(truncation="pad")
 
 
 _THETA = np.linspace(0.0, 1.0, 16)

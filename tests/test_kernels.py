@@ -48,6 +48,24 @@ class TestBackendParity:
         )
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
+    @INPUTS
+    @pytest.mark.parametrize(
+        "constant, boundary", [(False, "periodic"), (True, "reflect")],
+        ids=["periodic-passthrough", "constant-series"],
+    )
+    def test_mad_threshold_undefined_only_where_unused(
+        self, noisy_series, as_input, constant, boundary
+    ):
+        """delta = 0.8 leaves the threshold undefined at window 2 (ln 2/0.8 < 1),
+        where neither case needs one: periodic MAD passes windows shorter than
+        4 through, and every MAD sigma of a constant (zero) series is 0."""
+        y = np.zeros(len(noisy_series)) if constant else noisy_series
+        ref = prefix_estimates_reference(y, "db4", sigma="mad", delta=0.8, boundary=boundary)
+        got = wavelet_prefix_estimates(
+            as_input(y), "db4", sigma="mad", delta=0.8, boundary=boundary
+        )
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
 
 class TestEdgeCases:
     def test_first_estimate_is_the_observation(self, noisy_series):

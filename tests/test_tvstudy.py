@@ -76,13 +76,13 @@ class TestRunStudy:
         assert np.all(fit.mean_abs == 0.0)
         assert np.isnan(fit.exponent_sq)  # no line through zero risks
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic_given_seed(self):
         spec = TVStudySpec(
             tv_radius=1.0, sigma=0.5, n_grid=(64, 128), trials=3,
             estimator={"kind": "wavelet", "family": "haar"},
         )
-        a = run_tv_study(spec, base_seed=7, threads=1)
-        b = run_tv_study(spec, base_seed=7, threads=4)
+        a = run_tv_study(spec, base_seed=7)
+        b = run_tv_study(spec, base_seed=7)
         assert a.to_csv() == b.to_csv()
 
     def test_constant_truth_risk_grows_slowly(self):
