@@ -11,6 +11,19 @@ weights.  That is O(|S| m log m) work per level with |S| = O(L log m), and
 neither a transform of size m x m nor the block of sliding windows is
 formed.  Only ``sigma="mad"`` reads the windows themselves, for their
 finest-level coefficients, a bounded block of windows at a time.
+
+Haar (``haar``, ``db1``, any case) skips the basis and the correlation.  Its
+support rows are constant on dyadic blocks ending at the newest sample, so
+the detail of width 2**s is 2**(-s/2) times the older-half minus the
+newer-half sum of the newest 2**s samples, shared by every window of at
+least 2**s samples ending there, and the approximation is the window sum.
+The block sums of every width come from doubling, S_j(t) = S_{j-1}(t) +
+S_{j-1}(t - 2**(j-1)), which adds pairwise; one table of the details of
+every prefix is then thresholded per prefix and reduced against the weights
+with a fixed number of array operations: O(T log T) work for the sweep.  The
+other families' rows are not constant on dyadic blocks, so only Haar has
+this path.
+
 :func:`prefix_estimates_reference` is the one-prefix-at-a-time contract the
 kernel is pinned to.
 """
@@ -28,7 +41,9 @@ from .denoise import (
     _threshold,
     estimate_latest,
 )
-from .wavelets import SupportBasis, support_basis
+from . import wavelets
+from .errors import HorizonTooLarge
+from .wavelets import SupportBasis, get_family, support_basis
 
 # Samples per block of windows in the MAD noise scale: the block's reflect
 # fold and filter copies stay near 1 MB at any horizon (and in cache, which
@@ -53,6 +68,8 @@ def _mad_sigma(basis: SupportBasis, y, m: int, count: int, fold: bool) -> np.nda
 def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
     """out[t - 1] = the estimate from y[:t], one dyadic window size at a
     time, thresholded by the estimator's own noise-scale and threshold rule."""
+    if get_family(cfg.family).name == "haar":
+        return _haar_prefix_kernel(y, cfg, out)
     T = y.shape[0]
     fold = cfg.boundary == "reflect"
     out[0] = y[0]
@@ -69,6 +86,65 @@ def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
             cfg, m, lambda: _noise_scale(cfg, basis.n, lambda: _mad_sigma(basis, y, m, count, fold))
         )
         out[lo_t - 1 : hi_t] = _shrink(B, lam) @ basis.weights
+    return out
+
+
+def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+    """:func:`_prefix_kernel` for Haar, every prefix in one pass over a table
+    of dyadic block sums.
+
+    Row s - 1 of ``details`` holds, at prefix index i, the older-half sum
+    minus the newer-half sum of the 2**s samples ending at y[i] (0 where the
+    prefix is shorter); scaled by 2**(-s/2) it is the detail coefficient of
+    width 2**s, weight -2**(-s/2), of every window of 2**s or more samples
+    ending there.  ``approx`` holds the window's approximation coefficient
+    and ``weight`` its weight 1/sqrt(n) for a transform of length n.  Under
+    the reflect boundary the approximation is twice the window sum over
+    sqrt(n), and the coarsest detail of the fold is 0, so it is left out.
+    """
+    T = y.shape[0]
+    levels = _floor_log2(T)
+    fold = cfg.boundary == "reflect"
+    # periodic MAD passes windows of fewer than 4 points through
+    passthrough = isinstance(cfg.sigma, str) and not fold
+    # the table, its clipped copy and the thresholded table live at once
+    nbytes = 3 * levels * T * 8
+    budget = wavelets.SUPPORT_BUDGET_BYTES
+    if nbytes > budget:
+        raise HorizonTooLarge(
+            f"the Haar sweep of {T} samples needs {nbytes / 2**20:.0f} MB, "
+            f"over the {budget / 2**20:.0f} MB budget"
+        )
+    details = np.empty((levels, T))
+    approx, weight, lam = np.zeros(T), np.zeros(T), np.zeros(T)
+    scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
+    sums = y  # sums[i - 2**j + 1]: the 2**j samples ending at y[i]
+    for j in range(1, levels + 1):
+        half, m = 1 << (j - 1), 1 << j
+        row = details[j - 1]
+        row[: m - 1] = 0.0
+        np.subtract(sums[:-half], sums[half:], out=row[m - 1 :])
+        row *= scale[j - 1]
+        sums = sums[half:] + sums[:-half]
+        # prefixes y[:t] with m <= t < 2m: indices m - 1 .. hi - 1
+        hi = min(2 * m - 1, T)
+        count = hi - m + 1
+        if passthrough and m < 4:
+            continue
+        n = 2 * m if fold else m
+        root = n ** -0.5
+        approx[m - 1 : hi] = sums[:count] * ((2.0 if fold else 1.0) * root)
+        weight[m - 1 : hi] = root
+        # a float for the level or a column with one value per window
+        lam[m - 1 : hi, None] = _threshold(
+            cfg, m, lambda: _noise_scale(
+                cfg, n, lambda: _mad_sigma(support_basis(cfg.family, n), y, m, count, fold)
+            ),
+        )
+    out[:] = weight * _shrink(approx, lam) - scale @ _shrink(details, lam)
+    out[0] = y[0]
+    if passthrough:
+        out[1:3] = y[1:3]
     return out
 
 

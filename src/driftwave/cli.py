@@ -22,8 +22,6 @@ from .errors import DomainError, DriftwaveError, NonFiniteValue, ParseError
 from .selection import ingest_panel, select
 from .tvstudy import TVStudySpec, run_tv_study
 
-log = logging.getLogger("driftwave")
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -321,8 +319,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (_ConfigError, DomainError) as exc:
-        if isinstance(exc, _ConfigError):
-            log.error("%s", exc)
         print(f"driftwave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _INPUT_ERRORS as exc:

@@ -93,8 +93,8 @@ class BoundReport:
 
 def soft_threshold(x, lam):
     """sign(x) * max(|x| - lam, 0), elementwise on arrays; an array ``lam``
-    broadcasts against x."""
-    if np.any(np.asarray(lam) < 0):
+    broadcasts against x.  A negative or NaN threshold raises ValueError."""
+    if not np.all(np.asarray(lam) >= 0):
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     if np.isscalar(x):
         return float(math.copysign(max(abs(x) - lam, 0.0), x))

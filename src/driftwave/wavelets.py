@@ -127,10 +127,11 @@ FAMILY_NAMES = tuple(_FILTERS)
 # zeros of the cascade are exact or <= 1e-15 after rounding.
 SUPPORT_EPS = 1e-12
 
-# Largest support basis (rows plus folded rows) that support_basis builds.
-# A db8 basis takes ~270 MB at transform length 2**17 (a reflect-folded
-# series of 2**16) and ~12 GB at 2**22, which would end in an out-of-memory
-# kill rather than an error.
+# Largest support basis (rows, folded rows and the row spectra a sweep keeps)
+# that support_basis builds, and the largest block-sum table of a Haar prefix
+# sweep.  A db8 basis takes ~270 MB at transform length 2**17 (a
+# reflect-folded series of 2**16) and ~12 GB at 2**22, which would end in an
+# out-of-memory kill rather than an error.
 SUPPORT_BUDGET_BYTES = 1 << 30
 
 
@@ -426,10 +427,23 @@ class SupportBasis:
     def _block_spectra(self, fold: bool, c: int) -> np.ndarray:
         """conj(rfft) of each length-c block of each row, zero-padded to 2c:
         (|S|, r + 1) for one block, else (c + 1, |S|, r/c), the layout the
-        block sum reads as one matrix product per frequency."""
+        block sum reads as one matrix product per frequency.
+
+        Raises :class:`HorizonTooLarge`, before computing them, when the new
+        spectra would take the rows, folded rows and kept spectra over
+        ``SUPPORT_BUDGET_BYTES``."""
         key = (fold, c)
         if key not in self._spectra:
             rows = self.folded if fold else self.rows
+            need = 16 * rows.shape[0] * (rows.shape[1] // c) * (c + 1)
+            held = self.rows.nbytes + self.folded.nbytes
+            held += sum(kept.nbytes for kept in self._spectra.values())
+            if held + need > SUPPORT_BUDGET_BYTES:
+                raise HorizonTooLarge(
+                    f"the {self.family.name} row spectra at transform length {self.n} "
+                    f"need {need / 2**20:.0f} MB beside the {held / 2**20:.0f} MB held, "
+                    f"over the {SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
+                )
             blocks = rows.reshape(len(rows), -1, c)
             spectra = np.conj(np.fft.rfft(blocks, 2 * c))
             spectra = spectra[:, 0] if blocks.shape[1] == 1 else spectra.transpose(2, 0, 1)

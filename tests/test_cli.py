@@ -84,6 +84,15 @@ class TestEstimate:
         assert "driftwave: config error: unknown wavelet family 'db9'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_config_error_printed_once(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1.0\n2.0\n3.0\n")
+        proc = run_cli("estimate", str(path), "--sigma", "foo")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "driftwave: config error: --sigma must be a number or 'mad', got 'foo'"
+        ]
+
     def test_matches_library_bit_exactly(self, doppler_noisy):
         path, y = doppler_noisy
         sigma = 0.2 / np.sqrt(3)

@@ -45,6 +45,16 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "x, lam",
+        [(np.array([1.0, -2.0]), float("nan")), (1.0, float("nan")),
+         (np.array([1.0, -2.0]), np.array([0.5, np.nan]))],
+        ids=["array", "scalar", "array-threshold"],
+    )
+    def test_nan_threshold_rejected(self, x, lam):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(x, lam)
+
     @given(
         st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0, 1e6)
     )

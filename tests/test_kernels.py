@@ -48,6 +48,19 @@ class TestBackendParity:
         )
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("family", ["haar", "db1", "HAAR"])
+    @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+    @pytest.mark.parametrize("sigma, lam", [(0.3, None), ("mad", None), (0.0, None), ("mad", 0.25)])
+    def test_haar_block_sums(self, noisy_series, family, boundary, sigma, lam):
+        """The Haar path (every spelling of the family) under every sigma mode."""
+        ref = prefix_estimates_reference(
+            noisy_series, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+        )
+        got = wavelet_prefix_estimates(
+            noisy_series, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+        )
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
     @INPUTS
     @pytest.mark.parametrize(
         "constant, boundary", [(False, "periodic"), (True, "reflect")],

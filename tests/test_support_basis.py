@@ -5,7 +5,10 @@ n x n transform), never the support basis, so a fault in the pyramid
 transform cannot hide behind itself.  The one exception is the FFT
 correlation ``SupportBasis.sliding``, pinned to the product of the stacked
 windows with the support rows, which are themselves pinned to the dense
-matrix.
+matrix.  The Haar prefix sweep, which reads its coefficients from a table of
+dyadic block sums instead of the correlation, is pinned to the dense matrix
+with the other families, to ``prefix_estimates_reference`` and, at
+T = 2**16, to ``estimate_latest``.
 """
 
 from functools import lru_cache
@@ -162,6 +165,37 @@ class TestBasisMatchesDense:
         with pytest.raises(DriftwaveError):
             _kernels.wavelet_prefix_estimates(np.ones(1500), "db8", sigma=0.1, delta=0.1)
         support_basis.cache_clear()
+
+    def test_row_spectra_over_the_byte_budget_refused(self, monkeypatch):
+        # db8 at n = 2048, folded: one block of 1024, |S| rows of 1025 complex
+        # spectra on top of the rows and folded rows
+        rows = 101 * 2048 * 8 * 3 // 2
+        spectra = 101 * 1025 * 16
+        y = np.ones(2047)
+        support_basis.cache_clear()
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", rows + spectra - 1)
+        basis = support_basis("db8", 2048)
+        with pytest.raises(HorizonTooLarge, match="db8 row spectra at transform length 2048"):
+            basis.sliding(y, 1024, fold=True)
+        assert basis._spectra == {}
+        with pytest.raises(DriftwaveError):
+            _kernels.wavelet_prefix_estimates(y[:1500], "db8", sigma=0.1, delta=0.1)
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", rows + spectra)
+        assert basis.sliding(y, 1024, fold=True).shape == (1024, 101)
+        # a second block length would add spectra past the budget
+        with pytest.raises(HorizonTooLarge):
+            basis.sliding(y, 100, fold=True)
+        support_basis.cache_clear()
+
+    def test_haar_sweep_over_the_byte_budget_refused(self, monkeypatch):
+        # 10 rows of 1500 detail sums, their clipped copy and the thresholded table
+        need = 3 * 10 * 1500 * 8
+        y = drifting_series(3, 1500)
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need)
+        assert np.all(np.isfinite(_kernels.wavelet_prefix_estimates(y, "haar", sigma=0.1, delta=0.1)))
+        monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need - 1)
+        with pytest.raises(HorizonTooLarge, match="Haar sweep of 1500 samples"):
+            _kernels.wavelet_prefix_estimates(y, "haar", sigma=0.1, delta=0.1)
 
 
 class TestSlidingMatchesWindows:
@@ -340,8 +374,10 @@ def test_no_hot_path_builds_a_dense_transform(monkeypatch):
 
 def test_sweeps_correlate_without_forming_windows(monkeypatch):
     """The prefix kernel (known sigma, zero sigma, a lambda override) and
-    bound_profile read every coefficient from the FFT correlation; the
-    single-window paths never compute it."""
+    bound_profile form no block of windows: the kernel reads every db8
+    coefficient from the FFT correlation and every Haar coefficient from its
+    block-sum table, and bound_profile reads them from the FFT correlation.
+    The single-window paths never compute the correlation."""
     rng = np.random.default_rng(1)
     y = np.cumsum(rng.normal(0.0, 0.1, 700))
     expected = {
@@ -376,3 +412,49 @@ def test_sweeps_correlate_without_forming_windows(monkeypatch):
     denoise.estimate_latest(y, cfg)
     panel = [selection.LossSeries(f"m{i}", 0.3 + rng.normal(0, 0.02, 300)) for i in range(3)]
     selection.select(panel, cfg)
+
+
+def test_haar_sweeps_use_the_block_sums(monkeypatch):
+    """Haar prefix sweeps, however the family is spelled, and the TV study
+    built on them never run the FFT correlation, and they match the
+    one-prefix-at-a-time reference."""
+    y = drifting_series(7, 300)
+    cases = [
+        (family, boundary, sigma, lam)
+        for family in ("haar", "db1", "HAAR")
+        for boundary in ("reflect", "periodic")
+        for sigma, lam in ((0.3, None), (0.0, None), (0.3, 0.5))
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the FFT correlation ran")
+
+    monkeypatch.setattr(SupportBasis, "sliding", refuse)
+    for family, boundary, sigma, lam in cases:
+        got = _kernels.wavelet_prefix_estimates(
+            y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+        )
+        ref = _kernels.prefix_estimates_reference(
+            y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
+        )
+        np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
+    spec = tvstudy.TVStudySpec(tv_radius=1.0, sigma=1.0, n_grid=(64, 256), trials=2)
+    assert np.isfinite(tvstudy.run_tv_study(spec, 0).exponent_sq)
+
+
+@pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+def test_haar_sweep_long_horizon(boundary):
+    """At T = 2**16 the block sums, added pairwise by doubling, keep every
+    sampled prefix within 1e-10 of estimate_latest relative to the series'
+    magnitude, on a drifting series offset by 1e3."""
+    T = 1 << 16
+    y = 1e3 + drifting_series(5, T) + np.cumsum(np.random.default_rng(5).normal(0.0, 0.02, T))
+    got = _kernels.wavelet_prefix_estimates(y, "haar", sigma=0.5, delta=0.1, boundary=boundary)
+    cfg = DenoiseConfig(family="haar", sigma=0.5, delta=0.1, boundary=boundary)
+    rng = np.random.default_rng(6)
+    # both ends of every dyadic level, a few inside, and the last prefix
+    prefixes = {t for k in range(1, 17) for t in ((1 << k), min((2 << k) - 1, T))}
+    prefixes |= set(rng.integers(2, T + 1, 12).tolist())
+    tol = 1e-10 * max(1.0, np.abs(y).max())
+    for t in sorted(prefixes):
+        assert abs(got[t - 1] - denoise.estimate_latest(y[:t], cfg).value) <= tol, t
