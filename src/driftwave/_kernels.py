@@ -3,14 +3,14 @@
 The benchmark harnesses evaluate the wavelet estimator on every prefix of an
 observation sequence, which dominates their runtime.  Prefixes sharing a
 dyadic window size m are evaluated together against the cached
-:class:`~driftwave.wavelets.SupportBasis` of that size: one FFT correlation
-of the series with the |S| support rows (reflect-folded rows under the
-reflect boundary) gives the support coefficients of all (at most m) windows
-of the level, then a soft threshold and a dot with the newest-sample
-weights.  That is O(|S| m log m) work per level with |S| = O(L log m), and
-neither a transform of size m x m nor the block of sliding windows is
-formed.  Only ``sigma="mad"`` reads the windows themselves, for their
-finest-level coefficients, a bounded block of windows at a time.
+:class:`~driftwave.wavelets.SupportBasis` of that size and boundary: one FFT
+correlation of the series with its |S| support rows gives the support
+coefficients of all (at most m) windows of the level, then a soft threshold
+and a dot with the newest-sample weights.  That is O(|S| m log m) work per
+level with |S| = O(L log m), and neither a transform of size m x m nor the
+block of sliding windows is formed.  Only ``sigma="mad"`` reads the windows
+themselves, for their finest-level coefficients (high-pass taps only, no
+basis), a bounded block of windows at a time.
 
 Haar (``haar``, ``db1``, any case) skips the basis and the correlation.  Its
 support rows are constant on dyadic blocks ending at the newest sample, so
@@ -43,7 +43,7 @@ from .denoise import (
 )
 from . import wavelets
 from .errors import HorizonTooLarge
-from .wavelets import SupportBasis, get_family, support_basis
+from .wavelets import finest, get_family, support_basis
 
 # Samples per block of windows in the MAD noise scale: the block's reflect
 # fold and filter copies stay near 1 MB at any horizon (and in cache, which
@@ -55,13 +55,14 @@ def _floor_log2(t: int) -> int:
     return t.bit_length() - 1
 
 
-def _mad_sigma(basis: SupportBasis, y, m: int, count: int, fold: bool) -> np.ndarray:
+def _mad_sigma(cfg: DenoiseConfig, y, m: int, count: int) -> np.ndarray:
     """MAD noise scale of each of the ``count`` windows y[j : j + m]."""
+    family, fold = get_family(cfg.family), cfg.boundary == "reflect"
     windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
     rows = max(1, _MAD_BLOCK // m)
     sig = np.empty(count)
     for start in range(0, count, rows):
-        sig[start : start + rows] = _mad_rows(basis.finest(windows[start : start + rows], fold=fold))
+        sig[start : start + rows] = _mad_rows(finest(family, windows[start : start + rows], fold=fold))
     return sig
 
 
@@ -71,19 +72,18 @@ def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
     if get_family(cfg.family).name == "haar":
         return _haar_prefix_kernel(y, cfg, out)
     T = y.shape[0]
-    fold = cfg.boundary == "reflect"
     out[0] = y[0]
     for k in range(1, _floor_log2(T) + 1):
         m = 1 << k
         lo_t, hi_t = m, min(2 * m - 1, T)
-        if isinstance(cfg.sigma, str) and not fold and m < 4:
+        if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" and m < 4:
             out[lo_t - 1 : hi_t] = y[lo_t - 1 : hi_t]
             continue
-        basis = support_basis(cfg.family, 2 * m if fold else m)
+        basis = support_basis(cfg.family, m, cfg.boundary)
         count = hi_t - m + 1
-        B = basis.sliding(y, count, fold=fold)
+        B = basis.sliding(y, count)
         lam = _threshold(
-            cfg, m, lambda: _noise_scale(cfg, basis.n, lambda: _mad_sigma(basis, y, m, count, fold))
+            cfg, m, lambda: _noise_scale(cfg, basis.n, lambda: _mad_sigma(cfg, y, m, count))
         )
         out[lo_t - 1 : hi_t] = _shrink(B, lam) @ basis.weights
     return out
@@ -137,9 +137,7 @@ def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
         weight[m - 1 : hi] = root
         # a float for the level or a column with one value per window
         lam[m - 1 : hi, None] = _threshold(
-            cfg, m, lambda: _noise_scale(
-                cfg, n, lambda: _mad_sigma(support_basis(cfg.family, n), y, m, count, fold)
-            ),
+            cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, y, m, count))
         )
     out[:] = weight * _shrink(approx, lam) - scale @ _shrink(details, lam)
     out[0] = y[0]

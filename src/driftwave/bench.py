@@ -50,8 +50,10 @@ class SignalSpec:
         kinds = ("doppler", "sine") + STOCHASTIC_KINDS
         if self.kind not in kinds:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {kinds}")
-        if self.n_points < 1:
-            raise ValueError("n_points must be positive")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 1:
+            raise ValueError(f"n_points must be a positive integer, got {self.n_points!r}")
+        _require_finite_params(amplitude=self.amplitude, frequency_warp=self.frequency_warp,
+                               cycles=self.cycles, tv_radius=self.tv_radius)
         if self.tv_radius < 0:
             raise ValueError("tv_radius must be nonnegative")
 
@@ -388,7 +390,6 @@ def bound_profile(
     if n < 2:
         raise LengthMismatch("need at least 2 ground-truth points")
     _require_finite(theta)
-    fold = boundary == "reflect"
     sigmas = [noise.known_sigma(level) for level in noise.levels]
     values = np.zeros((len(families), len(noise.levels)))
     count = n - 1  # prefixes t = 2..n
@@ -397,9 +398,9 @@ def bound_profile(
         for k in range(1, n.bit_length()):
             m = 1 << k
             hi_t = min(2 * m - 1, n)
-            basis = support_basis(family, 2 * m if fold else m)
+            basis = support_basis(family, m, boundary)
             wts = 6.0 * np.abs(basis.weights)
-            coeff_abs = np.abs(basis.sliding(theta, hi_t - m + 1, fold=fold))  # (prefixes, |S|)
+            coeff_abs = np.abs(basis.sliding(theta, hi_t - m + 1))  # (prefixes, |S|)
             for li, sigma in enumerate(sigmas):
                 lam = default_lambda(sigma, delta, m)
                 totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())

@@ -168,8 +168,8 @@ def cmd_bench(args) -> int:
     spec = _load_spec(args.spec)
     signal = _signal_from_spec(spec.get("signal", {}))
     noise = _noise_from_spec(spec.get("noise", {}))
-    trials = args.trials if args.trials is not None else int(spec.get("trials", 5))
     try:
+        trials = args.trials if args.trials is not None else int(spec.get("trials", 5))
         methods = [make_method(m) for m in spec.get("methods", [])]
         report = run_online_eval(
             signal,
@@ -179,7 +179,7 @@ def cmd_bench(args) -> int:
             base_seed=args.seed,
             delta=float(spec.get("delta", 0.1)),
         )
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
     if args.format == "json":
         _emit(_rows_to_text(["method", "noise_level", "mean_mse", "std_mse"], report.rows(), "json"), args.out)

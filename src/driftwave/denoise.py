@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from .wavelets import (
     CoefficientVector,
+    finest,
     finest_level_coeffs,
     get_family,
     pyramid_analysis,
@@ -51,16 +52,10 @@ class DenoiseConfig:
     boundary: str = "reflect"
 
     def __post_init__(self):
-        _require_finite_params(
-            sigma=self.sigma, delta=self.delta, lambda_override=self.lambda_override
-        )
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if isinstance(self.sigma, str):
-            if self.sigma != "mad":
-                raise ValueError(f"sigma must be a number or 'mad', got {self.sigma!r}")
-        elif self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if isinstance(self.sigma, str) and self.sigma != "mad":
+            raise ValueError(f"sigma must be a number or 'mad', got {self.sigma!r}")
+        _require_sigma_delta(0.0 if self.sigma == "mad" else self.sigma, self.delta)
+        _require_finite_params(lambda_override=self.lambda_override)
         if self.lambda_override is not None and self.lambda_override < 0:
             raise ValueError(f"lambda_override must be nonnegative, got {self.lambda_override}")
         _require_transform(self.boundary, self.family)
@@ -108,11 +103,7 @@ def default_lambda(sigma: float, delta: float, n: int) -> float:
     Logs are natural.  sigma == 0 short-circuits to 0: zero noise needs no
     shrinkage even where the log term would be undefined.
     """
-    _require_finite_params(sigma=sigma, delta=delta)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _require_sigma_delta(sigma, delta)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return _default_threshold(sigma, delta, n)
@@ -134,6 +125,7 @@ def _default_threshold(sigma, delta: float, n: int):
 
 def kappa(n: int, delta: float) -> float:
     """Variational-bound constant (4*sqrt(2*ln(ln n/delta)) v 2*sqrt(2)) * (log2 n + 1)."""
+    _require_sigma_delta(0.0, delta)
     t = math.log(n) / delta
     lead = 4.0 * math.sqrt(2.0 * math.log(t)) if t > 1.0 else 0.0
     return max(lead, 2.0 * math.sqrt(2.0)) * (math.log2(n) + 1.0)
@@ -177,6 +169,15 @@ def _require_finite_params(**params) -> None:
     for name, value in params.items():
         if not isinstance(value, (str, type(None))) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_sigma_delta(sigma: float, delta: float) -> None:
+    """ValueError unless sigma is finite and >= 0 and delta lies in (0, 1)."""
+    _require_finite_params(sigma=sigma, delta=delta)
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def _require_transform(boundary: str, *families: str) -> None:
@@ -260,11 +261,11 @@ def _estimate_rows(
     not depend on the rows stacked with it.
     """
     n_used = windows.shape[1]
+    basis = support_basis(cfg.family, n_used, cfg.boundary)
     fold = cfg.boundary == "reflect"
-    basis = support_basis(cfg.family, 2 * n_used if fold else n_used)
-    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(basis.finest(windows, fold=fold)))
+    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(finest(basis.family, windows, fold=fold)))
     lam = _threshold(cfg, n_used, lambda: sigma)
-    shrunk = _shrink(basis.coefficients(windows, fold=fold), lam)
+    shrunk = _shrink(basis.coefficients(windows), lam)
     return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
 
 
@@ -320,7 +321,7 @@ def _variational_scan(
 ) -> tuple[float, int, float, float]:
     # profile[t-1] is the bias surrogate for the window of the t most recent
     # points; U(r) maxes it over dyadic t <= r against sigma/sqrt(r).
-    _require_finite_params(sigma=sigma, delta=delta)
+    _require_sigma_delta(sigma, delta)
     levels = n.bit_length() - 1
     dyadic_max = np.maximum.accumulate([profile[(1 << p) - 1] for p in range(levels + 1)])
     r = np.arange(1, n + 1)
@@ -379,10 +380,9 @@ def bound_report(
     """
     _require_transform(boundary, family)
     theta = _check_dyadic(theta)
-    fold = boundary == "reflect"
-    basis = support_basis(family, 2 * len(theta) if fold else len(theta))
+    basis = support_basis(family, len(theta), boundary)
     lam = default_lambda(sigma, delta, len(theta))
-    coeff_abs = np.abs(basis.coefficients(theta, fold=fold))
+    coeff_abs = np.abs(basis.coefficients(theta))
     sparsity = float(6.0 * np.minimum(coeff_abs, lam) @ np.abs(basis.weights))
     u, r_star, k, haar_bound = haar_variational_bound(theta, sigma, delta)
     tv_u, tv_r, _, tv_bound = tv_variational_bound(theta, sigma, delta)

@@ -151,8 +151,8 @@ def select(
 def ingest_panel(stream) -> list[LossSeries]:
     """Parse a loss panel CSV: header ``t,<id1>,<id2>,...``, rows ascending t.
 
-    Raises ParseError for malformed rows or non-ascending time, RaggedPanel
-    for missing cells, NonFiniteValue for NaN or infinite losses.
+    Raises ParseError for malformed rows or a non-finite or non-ascending time,
+    RaggedPanel for missing cells, NonFiniteValue for NaN or infinite losses.
     """
     lines = stream.read().splitlines()
     if not lines or not lines[0].strip():
@@ -175,7 +175,9 @@ def ingest_panel(stream) -> list[LossSeries]:
         try:
             t = float(cells[0])
         except ValueError:
-            raise ParseError(lineno, f"bad time value {cells[0]!r}") from None
+            t = math.nan
+        if not math.isfinite(t):
+            raise ParseError(lineno, f"bad time value {cells[0]!r}; need a finite number")
         if prev_t is not None and t <= prev_t:
             raise ParseError(lineno, f"time must ascend, got {t} after {prev_t}")
         prev_t = t

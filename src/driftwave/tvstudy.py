@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bench import _piecewise_constant_tv, make_method
-from .denoise import _require_finite_params
+from .denoise import _require_finite_params, _require_sigma_delta
 from .errors import LengthMismatch
 
 
@@ -30,11 +30,10 @@ class TVStudySpec:
     delta: float = 0.1
 
     def __post_init__(self):
-        _require_finite_params(tv_radius=self.tv_radius, sigma=self.sigma, delta=self.delta)
-        if self.tv_radius < 0 or self.sigma < 0:
-            raise ValueError("tv_radius and sigma must be nonnegative")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _require_finite_params(tv_radius=self.tv_radius)
+        _require_sigma_delta(self.sigma, self.delta)
+        if self.tv_radius < 0:
+            raise ValueError(f"tv_radius must be nonnegative, got {self.tv_radius}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         grid = tuple(self.n_grid)

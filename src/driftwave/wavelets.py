@@ -4,14 +4,15 @@ Two representations of one transform live here.  The dense reference,
 :func:`build_matrix`, materializes the n x n orthonormal matrix by
 cascading one-level periodized analysis matrices; it costs O(n**3) time and
 O(n**2) memory and serves as the oracle that tests compare against.  The
-computation goes through :class:`SupportBasis`: the latest-value estimator
-only needs the coefficients whose basis functions reach the newest sample,
-O(L log n) of them for a filter of L taps, and their rows are built by
-pyramid synthesis of unit coefficient vectors (Mallat 1989) in O(n L |S|)
-without forming anything of size n x n.  One window's coefficients are a
-product with those rows; :meth:`SupportBasis.sliding` gives those of up to m
-consecutive length-m windows of a series as one FFT correlation with the
-rows, O(|S| m log m) rather than O(|S| m**2) for the stacked windows.
+computation goes through :class:`SupportBasis`, one per (family, window
+length m, boundary): the estimator only needs the O(L log n) coefficients
+(L taps) whose basis functions reach the newest sample, and their rows come
+from pyramid synthesis of unit coefficient vectors (Mallat 1989) in
+O(n L |S|), kept as one array that acts on the window itself (the reflect
+fold absorbed).  :meth:`SupportBasis.sliding` gives the coefficients of up
+to m consecutive windows of a series as one FFT correlation with the rows,
+O(|S| m log m) rather than O(|S| m**2).  The MAD noise scale's finest-level
+coefficients need only the high-pass taps: :func:`finest` takes the family.
 
 Row order, shared by both: the single approximation row first, then detail
 rows coarse-to-fine; within a level, positions run left to right (oldest to
@@ -127,11 +128,11 @@ FAMILY_NAMES = tuple(_FILTERS)
 # zeros of the cascade are exact or <= 1e-15 after rounding.
 SUPPORT_EPS = 1e-12
 
-# Largest support basis (rows, folded rows and the row spectra a sweep keeps)
-# that support_basis builds, and the largest block-sum table of a Haar prefix
-# sweep.  A db8 basis takes ~270 MB at transform length 2**17 (a
-# reflect-folded series of 2**16) and ~12 GB at 2**22, which would end in an
-# out-of-memory kill rather than an error.
+# Largest support basis (the synthesized rows, then the kept rows and the row
+# spectra a sweep keeps) that support_basis builds, and the largest block-sum
+# table of a Haar prefix sweep.  A db8 synthesis takes ~180 MB at transform
+# length 2**17 (a reflect-folded series of 2**16) and ~7.6 GB at 2**22, which
+# would end in an out-of-memory kill rather than an error.
 SUPPORT_BUDGET_BYTES = 1 << 30
 
 
@@ -356,14 +357,15 @@ def pyramid_synthesis(family: WaveletFamily, beta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportBasis:
-    """The transform rows that reach the newest sample of a length-n vector.
+    """The rows that reach the newest sample of a window w of m samples.
 
-    ``support`` holds the row indices i of the dense transform W with
-    ``|W[i, n-1]| > SUPPORT_EPS`` (ascending, as in
-    :func:`last_column_support`), ``weights`` the entries ``W[support, n-1]``
-    and ``rows`` the rows ``W[support, :]``.  For the reflect boundary, where
-    the transformed vector is ``[reversed(w), w]`` for a window w of length
-    n/2, ``folded`` absorbs the fold: ``folded @ w == rows @ [w[::-1], w]``.
+    The window is transformed as a vector of length n: w itself under the
+    periodic boundary (n = m), its fold ``[w[::-1], w]`` under reflect
+    (n = 2m).  ``support`` holds the row indices i of the dense transform W
+    with ``|W[i, n-1]| > SUPPORT_EPS`` (ascending, as in
+    :func:`last_column_support`) and ``weights`` the entries
+    ``W[support, n-1]``.  ``rows`` (|S| x m) acts on w: ``W[support]`` under
+    periodic, ``W[support, :m][:, ::-1] + W[support, m:]`` under reflect.
     """
 
     family: WaveletFamily
@@ -371,73 +373,66 @@ class SupportBasis:
     support: np.ndarray
     weights: np.ndarray
     rows: np.ndarray
-    folded: np.ndarray
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def coefficients(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
-        """Support coefficients of each window along the last axis: of the
-        window itself (length n) or, with ``fold``, of its reflect fold
-        (window length n/2).
+    def coefficients(self, windows: np.ndarray) -> np.ndarray:
+        """Support coefficients of each window (length m) along the last axis.
 
         Each window is its own vector-matrix product, so its coefficients do
         not depend on the windows stacked with it; one matrix product of the
         stack does not promise that (BLAS may round edge rows differently)."""
-        rows = self.folded if fold else self.rows
-        return (windows[..., None, :] @ rows.T)[..., 0, :]
+        return (windows[..., None, :] @ self.rows.T)[..., 0, :]
 
-    def sliding(self, y: np.ndarray, count: int, *, fold: bool) -> np.ndarray:
+    def sliding(self, y: np.ndarray, count: int) -> np.ndarray:
         """:meth:`coefficients` of the ``count`` consecutive windows of y,
-        ``y[j : j + r]`` for j = 0 .. count - 1, where r is the window length
-        (n/2 with ``fold``, else n) and 1 <= count <= r.
+        ``y[j : j + m]`` for j = 0 .. count - 1, where 1 <= count <= m.
 
         One FFT correlation of y with every support row instead of a product
         with the stacked windows.  With c the power of two >= count (at
-        least 16, at most r), the rows are cut into r/c blocks of c samples;
+        least 16, at most m), the rows are cut into m/c blocks of c samples;
         each block meets its stretch of y in an FFT of length 2c and the
         block spectra are summed (uniformly partitioned correlation), so the
-        cost is O(|S| (r + c log c)): O(|S| r log r) for a full level,
-        O(|S| r) for a single window.  The block spectra of the rows are
+        cost is O(|S| (m + c log c)): O(|S| m log m) for a full level,
+        O(|S| m) for a single window.  The block spectra of the rows are
         computed on first use and kept on the basis.
         """
-        r = self.n // 2 if fold else self.n
-        if not 1 <= count <= r or len(y) < count + r - 1:
+        m = self.rows.shape[1]
+        if not 1 <= count <= m or len(y) < count + m - 1:
             raise LengthMismatch(
-                f"{count} windows of length {r} need 1 <= count <= {r} and "
-                f"{count + r - 1} samples, got {len(y)}"
+                f"{count} windows of length {m} need 1 <= count <= {m} and "
+                f"{count + m - 1} samples, got {len(y)}"
             )
         # blocks shorter than 16 saved no time on a single window of 256 to
         # 8192 samples; they only enlarge the kept spectra, 2 (c + 1) / c
         # times the rows
-        c = min(r, 1 << max(4, (count - 1).bit_length()))
-        spectra = self._block_spectra(fold, c)
-        if c == r:  # one block: the plain correlation
-            segment = np.fft.rfft(y[: count + r - 1], 2 * r)
-            lags = np.fft.irfft(spectra * segment, 2 * r)
-            # copy out the lags used so the 2r lags are freed here; a view
+        c = min(m, 1 << max(4, (count - 1).bit_length()))
+        spectra = self._block_spectra(c)
+        if c == m:  # one block: the plain correlation
+            segment = np.fft.rfft(y[: count + m - 1], 2 * m)
+            lags = np.fft.irfft(spectra * segment, 2 * m)
+            # copy out the lags used so the 2m lags are freed here; a view
             # would keep them alive through the caller's threshold step
             return np.ascontiguousarray(lags[:, :count].T)
         # row block b meets y[b c : b c + 2c], zero past the last sample read
-        padded = np.zeros(r + c)
-        padded[: count + r - 1] = y[: count + r - 1]
+        padded = np.zeros(m + c)
+        padded[: count + m - 1] = y[: count + m - 1]
         blocks = padded.reshape(-1, c)
         segments = np.fft.rfft(np.concatenate([blocks[:-1], blocks[1:]], axis=1))
         product = (spectra @ segments.T[:, :, None])[..., 0]
         return np.fft.irfft(product, 2 * c, axis=0)[:count]
 
-    def _block_spectra(self, fold: bool, c: int) -> np.ndarray:
+    def _block_spectra(self, c: int) -> np.ndarray:
         """conj(rfft) of each length-c block of each row, zero-padded to 2c:
-        (|S|, r + 1) for one block, else (c + 1, |S|, r/c), the layout the
+        (|S|, m + 1) for one block, else (c + 1, |S|, m/c), the layout the
         block sum reads as one matrix product per frequency.
 
         Raises :class:`HorizonTooLarge`, before computing them, when the new
-        spectra would take the rows, folded rows and kept spectra over
+        spectra would take the rows and kept spectra over
         ``SUPPORT_BUDGET_BYTES``."""
-        key = (fold, c)
-        if key not in self._spectra:
-            rows = self.folded if fold else self.rows
+        if c not in self._spectra:
+            rows = self.rows
             need = 16 * rows.shape[0] * (rows.shape[1] // c) * (c + 1)
-            held = self.rows.nbytes + self.folded.nbytes
-            held += sum(kept.nbytes for kept in self._spectra.values())
+            held = rows.nbytes + sum(kept.nbytes for kept in self._spectra.values())
             if held + need > SUPPORT_BUDGET_BYTES:
                 raise HorizonTooLarge(
                     f"the {self.family.name} row spectra at transform length {self.n} "
@@ -449,58 +444,62 @@ class SupportBasis:
             spectra = spectra[:, 0] if blocks.shape[1] == 1 else spectra.transpose(2, 0, 1)
             spectra = np.ascontiguousarray(spectra)
             spectra.setflags(write=False)
-            self._spectra[key] = spectra
-        return self._spectra[key]
+            self._spectra[c] = spectra
+        return self._spectra[c]
 
-    def finest(self, windows: np.ndarray, *, fold: bool) -> np.ndarray:
-        """Finest-level detail coefficients (the last n/2 of the transform) of
-        each window, arranged as in :meth:`coefficients`.
 
-        The periodized vector (the reflect fold or the window itself) and its
-        wrap, L - 2 samples for L taps (several periods when the filter is
-        longer than the vector), are written into one buffer; one strided view
-        of it holds samples 2i .. 2i + L - 1 as row i, so one product with the
-        high-pass taps gives every coefficient.  The buffer keeps the sample
-        axis outermost in memory, the layout these coefficients' rounding was
-        fixed with: a window-major buffer rounds some of them differently in
-        the last bit."""
-        g = self.family.highpass
-        w = windows.shape[-1]
-        m = 2 * w if fold else w
-        buf = np.empty((m + len(g) - 2,) + windows.shape[:-1])
-        ext = buf.T
-        if fold:
-            ext[..., :w] = windows[..., ::-1]
-        ext[..., m - w : m] = windows
-        for start in range(m, ext.shape[-1], m):
-            stop = min(start + m, ext.shape[-1])
-            ext[..., start:stop] = ext[..., : stop - start]
-        step = ext.strides[-1]
-        rows = np.ndarray(
-            ext.shape[:-1] + (m // 2, len(g)), buffer=buf,
-            strides=ext.strides[:-1] + (2 * step, step),
-        )
-        return rows @ g
+def finest(family: WaveletFamily, windows: np.ndarray, *, fold: bool) -> np.ndarray:
+    """Finest-level detail coefficients (the last n/2 of a transform of
+    length n) of each window along the last axis, or with ``fold`` of its fold.
+
+    The periodized vector (the reflect fold or the window itself) and its
+    wrap, L - 2 samples for L taps (several periods when the filter is
+    longer than the vector), are written into one buffer; one strided view
+    of it holds samples 2i .. 2i + L - 1 as row i, so one product with the
+    high-pass taps gives every coefficient.  The buffer keeps the sample
+    axis outermost in memory, the layout these coefficients' rounding was
+    fixed with: a window-major buffer rounds some of them differently in
+    the last bit."""
+    g = family.highpass
+    w = windows.shape[-1]
+    m = 2 * w if fold else w
+    buf = np.empty((m + len(g) - 2,) + windows.shape[:-1])
+    ext = buf.T
+    if fold:
+        ext[..., :w] = windows[..., ::-1]
+    ext[..., m - w : m] = windows
+    for start in range(m, ext.shape[-1], m):
+        stop = min(start + m, ext.shape[-1])
+        ext[..., start:stop] = ext[..., : stop - start]
+    step = ext.strides[-1]
+    rows = np.ndarray(
+        ext.shape[:-1] + (m // 2, len(g)), buffer=buf,
+        strides=ext.strides[:-1] + (2 * step, step),
+    )
+    return rows @ g
 
 
 @lru_cache(maxsize=64)
-def support_basis(family_name: str, n: int) -> SupportBasis:
-    """The :class:`SupportBasis` of ``family_name`` at transform length n.
+def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
+    """The :class:`SupportBasis` of ``family_name`` for windows of m samples
+    under ``boundary`` (``"reflect"`` or ``"periodic"``).
 
     The support is read off the pyramid analysis of the unit impulse at the
-    newest sample (that is the last column of W); each support row is the
-    pyramid synthesis of its unit coefficient vector.  Cost O(n |S| L).
-    Raises :class:`HorizonTooLarge`, before building the rows, when the rows
-    and folded rows (|S| n 8 * 1.5 bytes) would exceed
-    ``SUPPORT_BUDGET_BYTES``.
+    newest sample (the last column of W); each row is the pyramid synthesis
+    of its unit coefficient vector, folded (and dropped) under reflect.  Cost
+    O(n |S| L).  Raises :class:`HorizonTooLarge`, before the synthesis, when
+    its |S| n 8 bytes would exceed ``SUPPORT_BUDGET_BYTES``.
     """
     family = get_family(family_name)
+    if boundary not in ("reflect", "periodic"):
+        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
+    n = 2 * m if boundary == "reflect" else m
     _check_length(n)
     impulse = np.zeros(n)
     impulse[-1] = 1.0
     column = pyramid_analysis(family, impulse)
     support = np.flatnonzero(np.abs(column) > SUPPORT_EPS)
-    nbytes = len(support) * n * 8 * 3 // 2
+    nbytes = len(support) * n * 8
     if nbytes > SUPPORT_BUDGET_BYTES:
         raise HorizonTooLarge(
             f"the {family.name} support basis at transform length {n} needs "
@@ -509,9 +508,9 @@ def support_basis(family_name: str, n: int) -> SupportBasis:
     units = np.zeros((len(support), n))
     units[np.arange(len(support)), support] = 1.0
     rows = pyramid_synthesis(family, units)
-    half = n // 2
-    folded = rows[:, :half][:, ::-1] + rows[:, half:]
-    arrays = (support, column[support], rows, np.ascontiguousarray(folded))
+    if n != m:
+        rows = np.ascontiguousarray(rows[:, :m][:, ::-1] + rows[:, m:])
+    arrays = (support, column[support], rows)
     for a in arrays:
         a.setflags(write=False)
     return SupportBasis(family, n, *arrays)

@@ -60,6 +60,11 @@ class TestSignals:
         with pytest.raises(ValueError):
             SignalSpec("sawtooth", 100)
 
+    @pytest.mark.parametrize("n_points", [8.5, 8.0, "8", None, 0, -3])
+    def test_n_points_must_be_a_positive_integer(self, n_points):
+        with pytest.raises(ValueError, match="n_points must be a positive integer"):
+            SignalSpec("sine", n_points)
+
 
 class TestNoise:
     def test_uniform_known_sigma(self):

@@ -171,6 +171,24 @@ class TestBench:
         proc = run_cli("bench", str(path), "--seed", "1")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"trials": "x"},
+            {"trials": None},
+            {"signal": {"kind": "sine", "n_points": 8.5}},
+            {"signal": {"kind": "sine", "n_points": 60, "amplitude": float("nan")}},
+            {"signal": {"kind": "doppler", "n_points": 60, "frequency_warp": float("inf")}},
+            {"methods": [{"kind": "fixed_window", "window": None}]},
+        ],
+    )
+    def test_spec_error_is_one_line_config_error(self, tmp_path, overrides):
+        path = self.write_spec(tmp_path, **overrides)
+        proc = run_cli("bench", str(path), "--seed", "1")
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("driftwave: config error: ")
+
     def test_byte_identical_across_runs(self, tmp_path):
         path = self.write_spec(
             tmp_path,

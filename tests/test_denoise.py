@@ -23,7 +23,7 @@ from driftwave.denoise import (
     tv_variational_bound,
 )
 from driftwave._kernels import wavelet_prefix_estimates
-from driftwave.bench import NoiseSpec
+from driftwave.bench import NoiseSpec, SignalSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.selection import LossSeries, select
 from driftwave.tvstudy import TVStudySpec
@@ -417,7 +417,7 @@ _PARAMETER_CALLS = {
     "DenoiseConfig sigma": lambda v: DenoiseConfig(sigma=v),
     "DenoiseConfig delta": lambda v: DenoiseConfig(delta=v),
     "DenoiseConfig lambda": lambda v: DenoiseConfig(sigma="mad", lambda_override=v),
-    "select": lambda v: select([LossSeries("a", _THETA)], DenoiseConfig(sigma=v)),
+    "select sigma": lambda v: select([LossSeries("a", _THETA)], DenoiseConfig(sigma=v)),
     "default_lambda sigma": lambda v: default_lambda(v, 0.1, 16),
     "default_lambda delta": lambda v: default_lambda(1.0, v, 16),
     "prefix sigma": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma=v, delta=0.1),
@@ -431,7 +431,12 @@ _PARAMETER_CALLS = {
     "haar bound delta": lambda v: haar_variational_bound(_THETA, 0.1, v),
     "tv bound sigma": lambda v: tv_variational_bound(_THETA, v, 0.1),
     "tv bound delta": lambda v: tv_variational_bound(_THETA, 0.1, v),
+    "kappa delta": lambda v: kappa(16, v),
     "noise level": lambda v: NoiseSpec("uniform", (0.2, v)),
+    "signal amplitude": lambda v: SignalSpec("sine", 16, amplitude=v),
+    "signal frequency_warp": lambda v: SignalSpec("doppler", 16, frequency_warp=v),
+    "signal cycles": lambda v: SignalSpec("sine", 16, cycles=v),
+    "signal tv_radius": lambda v: SignalSpec("piecewise_constant", 16, tv_radius=v),
     "tv study sigma": lambda v: TVStudySpec(1.0, v, (64,), 2),
     "tv study radius": lambda v: TVStudySpec(v, 1.0, (64,), 2),
     "tv study delta": lambda v: TVStudySpec(1.0, 1.0, (64,), 2, delta=v),
@@ -446,4 +451,19 @@ class TestNonFiniteParameters:
     )
     def test_raises_and_never_returns(self, where, bad):
         with pytest.raises(ValueError, match="finite"):
+            _PARAMETER_CALLS[where](bad)
+
+
+class TestOutOfRangeParameters:
+    """The same calls with a finite sigma below 0 or delta outside (0, 1)."""
+
+    @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if k.endswith("sigma")))
+    def test_negative_sigma(self, where):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            _PARAMETER_CALLS[where](-1.0)
+
+    @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if k.endswith("delta")))
+    @pytest.mark.parametrize("bad", [-0.1, 0.0, 1.0, 1.5])
+    def test_delta_outside_the_unit_interval(self, where, bad):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             _PARAMETER_CALLS[where](bad)

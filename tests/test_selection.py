@@ -312,6 +312,12 @@ class TestIngestPanel:
         with pytest.raises(ParseError):
             ingest_panel(io.StringIO("t,a\n2,0.5\n1,0.6\n"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_time(self, bad):
+        text = f"t,a,b\n1,0.1,0.2\n{bad},0.3,0.1\n3,0.2,0.15\n"
+        with pytest.raises(ParseError, match=f"line 3: bad time value '{bad}'"):
+            ingest_panel(io.StringIO(text))
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             ingest_panel(io.StringIO(""))

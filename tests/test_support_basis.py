@@ -9,6 +9,12 @@ matrix.  The Haar prefix sweep, which reads its coefficients from a table of
 dyadic block sums instead of the correlation, is pinned to the dense matrix
 with the other families, to ``prefix_estimates_reference`` and, at
 T = 2**16, to ``estimate_latest``.
+
+A basis is keyed by family, window length m and boundary, and its rows act
+on the window itself: they are the dense support rows under the periodic
+boundary and those rows folded onto the window under the reflect boundary.
+The finest-level coefficients behind the MAD noise scale come from the
+family's high-pass taps, not from a basis, so the Haar sweep builds none.
 """
 
 from functools import lru_cache
@@ -26,6 +32,7 @@ from driftwave.wavelets import (
     FAMILY_NAMES,
     SupportBasis,
     build_matrix,
+    finest,
     get_family,
     last_column_support,
     pyramid_analysis,
@@ -91,26 +98,39 @@ families = st.sampled_from(FAMILY_NAMES)
 class TestBasisMatchesDense:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_support_weights_and_rows(self, family):
+        """The periodic basis of windows of n samples and the reflect basis
+        of windows of n/2 samples both have transform length n; the periodic
+        rows are W's support rows and the reflect rows fold them onto the
+        window."""
         rng = np.random.default_rng(3)
         for n in DENSE_SIZES:  # includes n shorter than the filter
             matrix = build_matrix(get_family(family), n)
             W = matrix.rows
-            basis = support_basis(family, n)
-            assert list(basis.support) == [i for i, _ in last_column_support(matrix)], n
-            np.testing.assert_allclose(basis.weights, W[basis.support, -1], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(basis.rows, W[basis.support], rtol=0, atol=1e-12)
-            w = rng.normal(size=n // 2)
+            m = n // 2
+            periodic = support_basis(family, n, "periodic")
+            reflect = support_basis(family, m, "reflect")
+            S = [i for i, _ in last_column_support(matrix)]
+            for basis in (periodic, reflect):
+                assert basis.n == n
+                assert list(basis.support) == S, n
+                np.testing.assert_allclose(basis.weights, W[S, -1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(periodic.rows, W[S], rtol=0, atol=1e-12)
             np.testing.assert_allclose(
-                basis.coefficients(w, fold=True), W[basis.support] @ np.r_[w[::-1], w],
-                rtol=0, atol=TOL,
+                reflect.rows, W[S, :m][:, ::-1] + W[S, m:], rtol=0, atol=1e-12
+            )
+            w = rng.normal(size=m)
+            np.testing.assert_allclose(
+                reflect.coefficients(w), W[S] @ np.r_[w[::-1], w], rtol=0, atol=TOL
             )
             x = rng.normal(size=(2, n))  # stacked windows, periodic
+            np.testing.assert_allclose(periodic.coefficients(x), x @ W[S].T, rtol=0, atol=TOL)
             np.testing.assert_allclose(
-                basis.finest(x, fold=False), (x @ W.T)[:, n // 2 :], rtol=0, atol=TOL
+                finest(get_family(family), x, fold=False), (x @ W.T)[:, n // 2 :],
+                rtol=0, atol=TOL,
             )
-            stack = rng.normal(size=(3, n // 2))  # stacked windows, folded
+            stack = rng.normal(size=(3, m))  # stacked windows, folded
             np.testing.assert_allclose(
-                basis.finest(stack, fold=True),
+                finest(get_family(family), stack, fold=True),
                 (np.concatenate([stack[:, ::-1], stack], axis=1) @ W.T)[:, n // 2 :],
                 rtol=0, atol=TOL,
             )
@@ -133,7 +153,7 @@ class TestBasisMatchesDense:
         m = vec.shape[1]
         ext = vec[:, np.arange(m + len(g) - 2) % m]
         want = np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[:, ::2, :] @ g
-        got = support_basis(family, m).finest(x, fold=fold)
+        got = finest(get_family(family), x, fold=fold)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
@@ -146,19 +166,25 @@ class TestBasisMatchesDense:
 
     def test_support_is_logarithmic(self):
         # one coefficient per level plus the approximation for Haar
-        assert len(support_basis("haar", 2048).support) == 12
-        assert len(support_basis("db8", 2048).support) == 101
+        assert len(support_basis("haar", 1024, "reflect").support) == 12
+        assert len(support_basis("db8", 2048, "periodic").support) == 101
+
+    def test_unknown_boundary_refused(self):
+        with pytest.raises(ValueError, match="boundary must be 'reflect' or 'periodic'"):
+            support_basis("db2", 8, "zero")
 
     def test_horizon_over_the_byte_budget_refused(self, monkeypatch):
-        # db8 at n = 2048: 101 rows of 2048 float64, and half that folded
-        need = 101 * 2048 * 8 * 3 // 2
+        # db8 at n = 2048: the synthesis of 101 rows of 2048 float64
+        need = 101 * 2048 * 8
         support_basis.cache_clear()
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need)
-        assert len(support_basis("db8", 2048).support) == 101
+        assert len(support_basis("db8", 1024, "reflect").support) == 101
         support_basis.cache_clear()
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need - 1)
         with pytest.raises(HorizonTooLarge, match="db8 support basis at transform length 2048"):
-            support_basis("db8", 2048)
+            support_basis("db8", 1024, "reflect")
+        with pytest.raises(HorizonTooLarge, match="db8 support basis at transform length 2048"):
+            support_basis("db8", 2048, "periodic")
         # the library boundary: a typed error, not a failed allocation
         with pytest.raises(DriftwaveError):
             denoise.estimate_latest(np.ones(1024), DenoiseConfig(family="db8"))
@@ -167,24 +193,24 @@ class TestBasisMatchesDense:
         support_basis.cache_clear()
 
     def test_row_spectra_over_the_byte_budget_refused(self, monkeypatch):
-        # db8 at n = 2048, folded: one block of 1024, |S| rows of 1025 complex
-        # spectra on top of the rows and folded rows
-        rows = 101 * 2048 * 8 * 3 // 2
+        # db8 reflect windows of 1024 (n = 2048): one block of 1024, |S| rows
+        # of 1025 complex spectra on top of the 101 folded rows of 1024
+        rows = 101 * 1024 * 8
         spectra = 101 * 1025 * 16
         y = np.ones(2047)
         support_basis.cache_clear()
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", rows + spectra - 1)
-        basis = support_basis("db8", 2048)
+        basis = support_basis("db8", 1024, "reflect")
         with pytest.raises(HorizonTooLarge, match="db8 row spectra at transform length 2048"):
-            basis.sliding(y, 1024, fold=True)
+            basis.sliding(y, 1024)
         assert basis._spectra == {}
         with pytest.raises(DriftwaveError):
             _kernels.wavelet_prefix_estimates(y[:1500], "db8", sigma=0.1, delta=0.1)
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", rows + spectra)
-        assert basis.sliding(y, 1024, fold=True).shape == (1024, 101)
+        assert basis.sliding(y, 1024).shape == (1024, 101)
         # a second block length would add spectra past the budget
         with pytest.raises(HorizonTooLarge):
-            basis.sliding(y, 100, fold=True)
+            basis.sliding(y, 100)
         support_basis.cache_clear()
 
     def test_haar_sweep_over_the_byte_budget_refused(self, monkeypatch):
@@ -210,19 +236,18 @@ class TestSlidingMatchesWindows:
     def test_sliding(self, data, seed, k, family, boundary, extra, offset):
         m = 1 << k
         count = data.draw(st.integers(1, m), label="count")
-        fold = boundary == "reflect"
-        basis = support_basis(family, 2 * m if fold else m)
+        basis = support_basis(family, m, boundary)
         y = offset + drifting_series(seed, count + m - 1 + extra)
         windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
-        got = basis.sliding(y, count, fold=fold)
+        got = basis.sliding(y, count)
         assert got.shape == (count, len(basis.support))
-        ref = basis.coefficients(windows, fold=fold)
+        ref = basis.coefficients(windows)
         np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * max(1.0, np.abs(y).max()))
 
     @pytest.mark.parametrize("count, samples", [(0, 20), (9, 20), (4, 10)])
     def test_window_count_and_length_checked(self, count, samples):
         with pytest.raises(LengthMismatch):
-            support_basis("db2", 16).sliding(np.ones(samples), count, fold=True)
+            support_basis("db2", 8, "reflect").sliding(np.ones(samples), count)
 
 
 class TestKernelMatchesDense:
@@ -440,6 +465,31 @@ def test_haar_sweeps_use_the_block_sums(monkeypatch):
         np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
     spec = tvstudy.TVStudySpec(tv_radius=1.0, sigma=1.0, n_grid=(64, 256), trials=2)
     assert np.isfinite(tvstudy.run_tv_study(spec, 0).exponent_sq)
+
+
+def test_haar_mad_sweeps_build_no_basis(monkeypatch):
+    """Haar MAD prefix sweeps take each window's noise scale from the
+    high-pass taps alone: under either boundary, with or without a lambda
+    override, they build no support basis, and they match the
+    one-prefix-at-a-time reference."""
+    y = drifting_series(8, 300)
+    expected = {
+        (boundary, lam): _kernels.prefix_estimates_reference(
+            y, "haar", sigma="mad", delta=0.1, lam_override=lam, boundary=boundary
+        )
+        for boundary in ("reflect", "periodic") for lam in (None, 0.5)
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support basis was built")
+
+    for module in (wavelets, _kernels):
+        monkeypatch.setattr(module, "support_basis", refuse)
+    for (boundary, lam), want in expected.items():
+        got = _kernels.wavelet_prefix_estimates(
+            y, "haar", sigma="mad", delta=0.1, lam_override=lam, boundary=boundary
+        )
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
