@@ -41,9 +41,7 @@ from .denoise import (
     _threshold,
     estimate_latest,
 )
-from . import wavelets
-from .errors import HorizonTooLarge
-from .wavelets import finest, get_family, support_basis
+from .wavelets import _require_budget, finest, get_family, support_basis
 
 # Samples per block of windows in the MAD noise scale: the block's reflect
 # fold and filter copies stay near 1 MB at any horizon (and in cache, which
@@ -108,13 +106,7 @@ def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
     # periodic MAD passes windows of fewer than 4 points through
     passthrough = isinstance(cfg.sigma, str) and not fold
     # the table, its clipped copy and the thresholded table live at once
-    nbytes = 3 * levels * T * 8
-    budget = wavelets.SUPPORT_BUDGET_BYTES
-    if nbytes > budget:
-        raise HorizonTooLarge(
-            f"the Haar sweep of {T} samples needs {nbytes / 2**20:.0f} MB, "
-            f"over the {budget / 2**20:.0f} MB budget"
-        )
+    _require_budget(f"the Haar sweep of {T} samples", 3 * levels * T * 8)
     details = np.empty((levels, T))
     approx, weight, lam = np.zeros(T), np.zeros(T), np.zeros(T)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import _require_finite
+from .denoise import _require_finite, _require_sigma_delta
 from .errors import BadWindow
 
 ADAPTIVE_TEST_CONSTANT = 2.0
@@ -73,10 +73,7 @@ def adaptive_window_mean(y: np.ndarray, sigma: float, delta: float) -> WindowEst
     n = len(y)
     if n < 1:
         raise BadWindow("need at least one observation")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    _require_sigma_delta(sigma, delta)
     if n == 1:
         return WindowEstimate(float(y[0]), 1)
 

@@ -11,7 +11,7 @@ bit-identical across runs.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .baselines import adaptive_window_sweep, fixed_window_sweep
-from .denoise import _require_finite, _require_finite_params, _require_transform, default_lambda
+from .denoise import (_require_count, _require_finite, _require_finite_params, _require_transform,
+                      default_lambda)
 from .errors import LengthMismatch, NonFiniteValue, ParseError
 from .wavelets import support_basis
 
@@ -50,8 +51,7 @@ class SignalSpec:
         kinds = ("doppler", "sine") + STOCHASTIC_KINDS
         if self.kind not in kinds:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {kinds}")
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 1:
-            raise ValueError(f"n_points must be a positive integer, got {self.n_points!r}")
+        _require_count("n_points", self.n_points)
         _require_finite_params(amplitude=self.amplitude, frequency_warp=self.frequency_warp,
                                cycles=self.cycles, tv_radius=self.tv_radius)
         if self.tv_radius < 0:
@@ -184,8 +184,7 @@ class FixedWindowMethod:
     """Mean of the w most recent observations (all of them while t < w)."""
 
     def __init__(self, window: int, name: str | None = None):
-        if window < 1:
-            raise ValueError("window must be positive")
+        _require_count("window", window)
         self.window = window
         self.name = name or f"window{window}"
 
@@ -254,7 +253,7 @@ def make_method(spec: dict):
     if kind == "adaptive_window":
         return AdaptiveWindowMethod(spec.get("sigma", "known"), spec.get("name"))
     if kind == "fixed_window":
-        return FixedWindowMethod(int(spec["window"]), spec.get("name"))
+        return FixedWindowMethod(spec["window"], spec.get("name"))
     if kind == "passthrough":
         return PassthroughMethod()
     if kind == "csv":
@@ -264,12 +263,37 @@ def make_method(spec: dict):
     raise ValueError(f"unknown method kind {kind!r}")
 
 
+# --- reports -----------------------------------------------------------------
+
+
+def table_text(header, rows, fmt: str) -> str:
+    """A table as CSV (floats written as ``repr(float(c))``, other cells with
+    ``str``) or, for ``fmt="json"``, as a JSON list of one record per row."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class Table:
+    """A report that is a class-level ``header`` plus ``rows()``."""
+
+    def to_text(self, fmt: str) -> str:
+        return table_text(self.header, self.rows(), fmt)
+
+    def to_csv(self) -> str:
+        return self.to_text("csv")
+
+
 # --- evaluation --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RiskReport:
+class RiskReport(Table):
     """Per-(method, noise level) MSE mean and standard deviation across trials."""
+
+    header = ("method", "noise_level", "mean_mse", "std_mse")
 
     method_names: tuple[str, ...]
     levels: tuple[float, ...]
@@ -285,17 +309,10 @@ class RiskReport:
 
     def rows(self) -> list[tuple[str, float, float, float]]:
         return [
-            (name, level, float(self.mean_mse[li, mi]), float(self.std_mse[li, mi]))
+            (name, float(level), float(self.mean_mse[li, mi]), float(self.std_mse[li, mi]))
             for mi, name in enumerate(self.method_names)
             for li, level in enumerate(self.levels)
         ]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("method,noise_level,mean_mse,std_mse\n")
-        for name, level, mean, std in self.rows():
-            buf.write(f"{name},{float(level)!r},{mean!r},{std!r}\n")
-        return buf.getvalue()
 
 
 def run_online_eval(
@@ -317,8 +334,7 @@ def run_online_eval(
     """
     if not methods:
         raise ValueError("need at least one method")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count("trials", trials)
     names = tuple(m.name for m in methods)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate method names: {names}")
@@ -349,8 +365,10 @@ def run_online_eval(
 
 
 @dataclass(frozen=True)
-class BoundProfile:
+class BoundProfile(Table):
     """Sparsity bound averaged over all prefixes, per family and noise level."""
+
+    header = ("family", "noise_level", "avg_bound")
 
     families: tuple[str, ...]
     levels: tuple[float, ...]
@@ -359,13 +377,12 @@ class BoundProfile:
     def value(self, family: str, level: float) -> float:
         return float(self.values[self.families.index(family), self.levels.index(level)])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("family,noise_level,avg_bound\n")
-        for fi, fam in enumerate(self.families):
-            for li, level in enumerate(self.levels):
-                buf.write(f"{fam},{float(level)!r},{float(self.values[fi, li])!r}\n")
-        return buf.getvalue()
+    def rows(self) -> list[tuple[str, float, float]]:
+        return [
+            (fam, float(level), float(self.values[fi, li]))
+            for fi, fam in enumerate(self.families)
+            for li, level in enumerate(self.levels)
+        ]
 
 
 def bound_profile(

@@ -1,7 +1,10 @@
 """Command-line surface: estimate | denoise | bench | tvscale | select | bounds.
 
 Every subcommand is a pure function of its input files, flags and --seed;
-repeated invocations emit byte-identical output.  Exit codes: 0 success,
+repeated invocations emit byte-identical output.  bench, tvscale and bounds
+print a report's table (a header plus rows): --format csv and --format json
+carry the same rows, and every float cell prints as a Python float (so a
+noise level given as 1 prints as 1.0 in both).  Exit codes: 0 success,
 2 input error (unreadable or malformed data), 3 configuration error.
 The environment variable DRIFTWAVE_LOG sets the log level, nothing else.
 """
@@ -9,6 +12,7 @@ The environment variable DRIFTWAVE_LOG sets the log level, nothing else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .bench import NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method, run_online_eval
+from .bench import (NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method,
+                    run_online_eval, table_text)
 from .denoise import DenoiseConfig, denoise_signal, estimate_latest
 from .errors import DomainError, DriftwaveError, NonFiniteValue, ParseError
 from .selection import ingest_panel, select
@@ -101,21 +106,6 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rows_to_text(header: list[str], rows: list[tuple], fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [
-            ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
-    records = [
-        {k: (float(c) if isinstance(c, float) else c) for k, c in zip(header, row)}
-        for row in rows
-    ]
-    return json.dumps(records, indent=2) + "\n"
-
-
 def _require_seed(args):
     if args.seed is None:
         raise _ConfigError("--seed is required for stochastic subcommands")
@@ -139,13 +129,7 @@ def cmd_estimate(args) -> int:
     cfg = _denoise_config(args)
     y = _read_series(args.series)
     est = estimate_latest(y, cfg)
-    payload = {
-        "value": est.value,
-        "lambda_used": est.lambda_used,
-        "sigma_used": est.sigma_used,
-        "n_used": est.n_used,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(est), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -159,7 +143,7 @@ def cmd_denoise(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         rows = [(t_start + i, float(v)) for i, v in enumerate(values)]
-        _emit(_rows_to_text(["t", "value"], rows, "csv"), args.out)
+        _emit(table_text(("t", "value"), rows, "csv"), args.out)
     return EXIT_OK
 
 
@@ -169,7 +153,7 @@ def cmd_bench(args) -> int:
     signal = _signal_from_spec(spec.get("signal", {}))
     noise = _noise_from_spec(spec.get("noise", {}))
     try:
-        trials = args.trials if args.trials is not None else int(spec.get("trials", 5))
+        trials = args.trials if args.trials is not None else spec.get("trials", 5)
         methods = [make_method(m) for m in spec.get("methods", [])]
         report = run_online_eval(
             signal,
@@ -181,10 +165,7 @@ def cmd_bench(args) -> int:
         )
     except (TypeError, ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
-    if args.format == "json":
-        _emit(_rows_to_text(["method", "noise_level", "mean_mse", "std_mse"], report.rows(), "json"), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
+    _emit(report.to_text(args.format), args.out)
     return EXIT_OK
 
 
@@ -195,24 +176,15 @@ def cmd_tvscale(args) -> int:
         spec = TVStudySpec(
             tv_radius=float(raw["tv_radius"]),
             sigma=float(raw["sigma"]),
-            n_grid=tuple(int(n) for n in raw["n_grid"]),
-            trials=int(raw.get("trials", 10)),
+            n_grid=tuple(raw["n_grid"]),
+            trials=raw.get("trials", 10),
             estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
             delta=float(raw.get("delta", 0.1)),
         )
         fit = run_tv_study(spec, base_seed=args.seed)
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
-    if args.format == "json":
-        rows = [
-            (n, float(fit.mean_sq[i]), float(fit.std_sq[i]), float(fit.mean_abs[i]),
-             float(fit.std_abs[i]), fit.exponent_sq, fit.exponent_abs)
-            for i, n in enumerate(fit.n_grid)
-        ]
-        header = ["n", "mean_r_sq", "std_r_sq", "mean_r_abs", "std_r_abs", "exponent_sq", "exponent_abs"]
-        _emit(_rows_to_text(header, rows, "json"), args.out)
-    else:
-        _emit(fit.to_csv(), args.out)
+    _emit(fit.to_text(args.format), args.out)
     return EXIT_OK
 
 
@@ -244,11 +216,7 @@ def cmd_bounds(args) -> int:
         )
     except (ValueError, KeyError) as exc:
         raise _ConfigError(str(exc)) from exc
-    if args.format == "json":
-        rows = [(fam, lv, profile.value(fam, lv)) for fam in profile.families for lv in profile.levels]
-        _emit(_rows_to_text(["family", "noise_level", "avg_bound"], rows, "json"), args.out)
-    else:
-        _emit(profile.to_csv(), args.out)
+    _emit(profile.to_text(args.format), args.out)
     return EXIT_OK
 
 

@@ -171,6 +171,13 @@ def _require_finite_params(**params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is a positive int or numpy integer; a float
+    such as 2.0 or 2.7 is refused, not truncated."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _require_sigma_delta(sigma: float, delta: float) -> None:
     """ValueError unless sigma is finite and >= 0 and delta lies in (0, 1)."""
     _require_finite_params(sigma=sigma, delta=delta)

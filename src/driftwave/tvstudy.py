@@ -8,13 +8,12 @@ expose the empirical scaling exponent.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import _piecewise_constant_tv, make_method
-from .denoise import _require_finite_params, _require_sigma_delta
+from .bench import Table, _piecewise_constant_tv, make_method
+from .denoise import _require_count, _require_finite_params, _require_sigma_delta
 from .errors import LengthMismatch
 
 
@@ -34,9 +33,10 @@ class TVStudySpec:
         _require_sigma_delta(self.sigma, self.delta)
         if self.tv_radius < 0:
             raise ValueError(f"tv_radius must be nonnegative, got {self.tv_radius}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _require_count("trials", self.trials)
         grid = tuple(self.n_grid)
+        for n in grid:
+            _require_count("each n_grid entry", n)
         if not grid or any(n < 2 or (n & (n - 1)) for n in grid):
             raise ValueError(f"n_grid must be powers of two >= 2, got {grid}")
         if list(grid) != sorted(set(grid)):
@@ -44,8 +44,10 @@ class TVStudySpec:
 
 
 @dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Table):
     """Per-horizon mean risks plus fitted log-log slopes and intercepts."""
+
+    header = ("n", "mean_r_sq", "std_r_sq", "mean_r_abs", "std_r_abs", "exponent_sq", "exponent_abs")
 
     n_grid: tuple[int, ...]
     mean_sq: np.ndarray
@@ -58,16 +60,12 @@ class ScalingFit:
     intercept_abs: float
     trials: int
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,mean_r_sq,std_r_sq,mean_r_abs,std_r_abs,exponent_sq,exponent_abs\n")
-        for i, n in enumerate(self.n_grid):
-            buf.write(
-                f"{n},{float(self.mean_sq[i])!r},{float(self.std_sq[i])!r},"
-                f"{float(self.mean_abs[i])!r},{float(self.std_abs[i])!r},"
-                f"{self.exponent_sq!r},{self.exponent_abs!r}\n"
-            )
-        return buf.getvalue()
+    def rows(self) -> list[tuple[int, float, float, float, float, float, float]]:
+        return [
+            (int(n), float(self.mean_sq[i]), float(self.std_sq[i]), float(self.mean_abs[i]),
+             float(self.std_abs[i]), self.exponent_sq, self.exponent_abs)
+            for i, n in enumerate(self.n_grid)
+        ]
 
 
 def risk(estimates: np.ndarray, truth: np.ndarray, kind: str) -> float:

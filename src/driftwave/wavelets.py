@@ -136,6 +136,17 @@ SUPPORT_EPS = 1e-12
 SUPPORT_BUDGET_BYTES = 1 << 30
 
 
+def _require_budget(what: str, need: int, held: int = 0) -> None:
+    """Raise :class:`HorizonTooLarge` when ``need`` more bytes beside the
+    ``held`` ones would exceed ``SUPPORT_BUDGET_BYTES``."""
+    if held + need > SUPPORT_BUDGET_BYTES:
+        beside = f" beside the {held / 2**20:.0f} MB held" if held else ""
+        raise HorizonTooLarge(
+            f"{what}: {need / 2**20:.0f} MB{beside} is over the "
+            f"{SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
+        )
+
+
 @dataclass(frozen=True)
 class WaveletFamily:
     """A wavelet family given by its orthonormal low-pass filter taps and the
@@ -431,14 +442,11 @@ class SupportBasis:
         ``SUPPORT_BUDGET_BYTES``."""
         if c not in self._spectra:
             rows = self.rows
-            need = 16 * rows.shape[0] * (rows.shape[1] // c) * (c + 1)
-            held = rows.nbytes + sum(kept.nbytes for kept in self._spectra.values())
-            if held + need > SUPPORT_BUDGET_BYTES:
-                raise HorizonTooLarge(
-                    f"the {self.family.name} row spectra at transform length {self.n} "
-                    f"need {need / 2**20:.0f} MB beside the {held / 2**20:.0f} MB held, "
-                    f"over the {SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
-                )
+            _require_budget(
+                f"the {self.family.name} row spectra at transform length {self.n}",
+                16 * rows.shape[0] * (rows.shape[1] // c) * (c + 1),
+                rows.nbytes + sum(kept.nbytes for kept in self._spectra.values()),
+            )
             blocks = rows.reshape(len(rows), -1, c)
             spectra = np.conj(np.fft.rfft(blocks, 2 * c))
             spectra = spectra[:, 0] if blocks.shape[1] == 1 else spectra.transpose(2, 0, 1)
@@ -499,12 +507,7 @@ def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     impulse[-1] = 1.0
     column = pyramid_analysis(family, impulse)
     support = np.flatnonzero(np.abs(column) > SUPPORT_EPS)
-    nbytes = len(support) * n * 8
-    if nbytes > SUPPORT_BUDGET_BYTES:
-        raise HorizonTooLarge(
-            f"the {family.name} support basis at transform length {n} needs "
-            f"{nbytes / 2**20:.0f} MB, over the {SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
-        )
+    _require_budget(f"the {family.name} support basis at transform length {n}", len(support) * n * 8)
     units = np.zeros((len(support), n))
     units[np.arange(len(support)), support] = 1.0
     rows = pyramid_synthesis(family, units)

@@ -90,6 +90,16 @@ class TestAdaptiveWindowMean:
         with pytest.raises(BadWindow):
             adaptive_window_mean(np.empty(0), sigma=1.0, delta=0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, np.float64("nan")])
+    def test_non_finite_sigma_refused(self, sigma):
+        # a NaN sigma fails every doubling test's "<=", which used to pick
+        # the full window of this step series instead of raising
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            adaptive_window_mean(y, sigma, 0.1)
+        with pytest.raises(ValueError, match="sigma must be"):
+            adaptive_window_sweep(y, sigma, 0.1)
+
 
 class TestSigmaProxy:
     def test_half_range(self):

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from driftwave.bench import (
     load_estimates_csv,
     make_method,
     run_online_eval,
+    table_text,
 )
 from driftwave.errors import LengthMismatch, NonFiniteValue, ParseError
 
@@ -159,6 +161,20 @@ class TestOnlineEval:
                 base_seed=0,
             )
 
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "2", 0])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            run_online_eval(SignalSpec("sine", 16), NoiseSpec("uniform", (0.1,)),
+                            [PassthroughMethod()], trials=trials, base_seed=0)
+
+    def test_integer_levels_are_float_cells(self):
+        report = run_online_eval(SignalSpec("sine", 16), NoiseSpec("gaussian", (1, 0.5)),
+                                 [PassthroughMethod()], trials=1, base_seed=0)
+        assert [row[1] for row in report.rows()] == [1.0, 0.5]
+        assert all(type(row[1]) is float for row in report.rows())
+        assert report.to_csv().splitlines()[1].startswith("passthrough,1.0,")
+        assert '"noise_level": 1.0,' in report.to_text("json")
+
     def test_rows_and_lookup(self):
         report = run_online_eval(
             SignalSpec("sine", 32),
@@ -214,7 +230,28 @@ class TestCsvReplay:
         np.testing.assert_array_equal(got, [0.5, -0.25])
 
 
+class TestTableText:
+    def test_csv_and_json(self):
+        header = ("name", "n", "x")
+        rows = [("a", 3, 0.1), ("b", np.int64(4), np.float64(2.0)), ("c", 5, float("nan"))]
+        assert table_text(header, rows, "csv") == "name,n,x\na,3,0.1\nb,4,2.0\nc,5,nan\n"
+        text = table_text(header, [("a", 3, 0.1), ("b", 4, 2.0)], "json")
+        assert text.endswith("]\n")
+        assert json.loads(text) == [{"name": "a", "n": 3, "x": 0.1}, {"name": "b", "n": 4, "x": 2.0}]
+
+    def test_empty_table_is_the_header(self):
+        assert table_text(("a", "b"), [], "csv") == "a,b\n"
+        assert table_text(("a", "b"), [], "json") == "[]\n"
+
+
 class TestMakeMethod:
+    @pytest.mark.parametrize("window", [2.7, 4.0, "4", None, 0])
+    def test_window_must_be_a_positive_integer(self, window):
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            FixedWindowMethod(window)
+        with pytest.raises(ValueError, match="window must be a positive integer"):
+            make_method({"kind": "fixed_window", "window": window})
+
     def test_wavelet(self):
         m = make_method({"kind": "wavelet", "family": "db8", "sigma": "mad"})
         assert m.name == "db8_mad"

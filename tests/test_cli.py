@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +11,10 @@ import numpy as np
 import pytest
 
 import driftwave
-from driftwave.bench import SignalSpec, generate_signal
+from driftwave.bench import NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method, run_online_eval
+from driftwave.cli import build_parser
 from driftwave.denoise import DenoiseConfig, estimate_latest
+from driftwave.tvstudy import TVStudySpec, run_tv_study
 
 # the child interpreter imports the same package as this one, installed or not
 PACKAGE_ROOT = str(Path(driftwave.__file__).resolve().parent.parent)
@@ -92,6 +97,14 @@ class TestEstimate:
         assert proc.stderr.splitlines() == [
             "driftwave: config error: --sigma must be a number or 'mad', got 'foo'"
         ]
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_is_one_line_config_error(self, tmp_path, sigma):
+        path = tmp_path / "s.txt"
+        path.write_text("1.0\n2.0\n3.0\n")
+        proc = run_cli("estimate", str(path), "--sigma", sigma)
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
     def test_matches_library_bit_exactly(self, doppler_noisy):
         path, y = doppler_noisy
@@ -180,6 +193,14 @@ class TestBench:
             {"signal": {"kind": "sine", "n_points": 60, "amplitude": float("nan")}},
             {"signal": {"kind": "doppler", "n_points": 60, "frequency_warp": float("inf")}},
             {"methods": [{"kind": "fixed_window", "window": None}]},
+            # counts are refused, not truncated
+            {"trials": 2.7},
+            {"trials": "2"},
+            {"trials": 0},
+            {"methods": [{"kind": "fixed_window", "window": 2.7}]},
+            {"methods": [{"kind": "fixed_window", "window": "4"}]},
+            {"noise": {"levels": [0.2, float("nan")]}, "methods": [{"kind": "adaptive_window"}]},
+            {"noise": {"levels": [float("inf")]}, "methods": [{"kind": "adaptive_window"}]},
         ],
     )
     def test_spec_error_is_one_line_config_error(self, tmp_path, overrides):
@@ -232,6 +253,25 @@ class TestTvscale:
         a = run_cli("tvscale", str(path), "--seed", "4").stdout
         b = run_cli("tvscale", str(path), "--seed", "4").stdout
         assert a == b
+
+    @pytest.mark.parametrize(
+        "overrides,word",
+        [
+            pytest.param({"n_grid": [32.9, 64]}, "n_grid", id="n_grid-32.9"),
+            pytest.param({"n_grid": [32.0, 64]}, "n_grid", id="n_grid-32.0"),
+            pytest.param({"trials": 1.5}, "trials", id="trials-1.5"),
+            pytest.param({"n_grid": 32}, "", id="n_grid-not-a-list"),
+        ],
+    )
+    def test_spec_error_is_one_line_config_error(self, tmp_path, overrides, word):
+        spec = {"tv_radius": 1.0, "sigma": 0.5, "n_grid": [32, 64], "trials": 1, **overrides}
+        path = tmp_path / "tv.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("tvscale", str(path), "--seed", "1")
+        assert proc.returncode == 3, proc.stdout
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("driftwave: config error: ")
+        assert word in proc.stderr
 
 
 class TestSelect:
@@ -311,3 +351,152 @@ class TestOutputFile:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert abs(json.loads(out.read_text())["value"] - 2.0) < 1e-9
+
+
+# --- tables: one header plus rows, written as CSV or JSON --------------------
+
+_METHODS = [
+    {"kind": "wavelet", "family": "haar"},
+    {"kind": "wavelet", "family": "db4", "sigma": "mad"},
+    {"kind": "adaptive_window"},
+    {"kind": "fixed_window", "window": 8},
+    {"kind": "passthrough"},
+]
+
+# (subcommand, spec, seed); the "_int" specs give integer-typed noise levels
+TABLE_SPECS = {
+    "bench": ("bench", {
+        "signal": {"kind": "doppler", "n_points": 128},
+        "noise": {"kind": "uniform", "levels": [0.2, 0.5]},
+        "methods": _METHODS,
+        "trials": 2,
+    }, 11),
+    "bench_int": ("bench", {
+        "signal": {"kind": "random_coin", "n_points": 64},
+        "noise": {"kind": "gaussian", "levels": [1, 2, 0.5]},
+        "methods": _METHODS,
+        "trials": 2,
+    }, 8),
+    "tvscale": ("tvscale", {"tv_radius": 1.0, "sigma": 0.5, "n_grid": [32, 64], "trials": 2}, 12),
+    "tvscale_passthrough": ("tvscale", {
+        "tv_radius": 1.0, "sigma": 0.0, "n_grid": [32, 64], "trials": 1,
+        "estimator": {"kind": "passthrough"},
+    }, 3),
+    "bounds": ("bounds", {
+        "signal": {"kind": "random_coin", "n_points": 64},
+        "noise": {"kind": "uniform", "levels": [0.2, 1.0]},
+        "families": ["haar", "db4"],
+    }, 13),
+    "bounds_int": ("bounds", {
+        "signal": {"kind": "doppler", "n_points": 64},
+        "noise": {"kind": "uniform", "levels": [1, 2]},
+        "families": ["haar", "db8"],
+    }, 0),
+}
+
+
+def run_table(tmp_path, name, fmt):
+    command, spec, seed = TABLE_SPECS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", str(seed), "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _typed(records):
+    """Each cell as (column, type name, repr): NaN compares equal to NaN."""
+    return [[(k, type(v).__name__, repr(v)) for k, v in r.items()] for r in records]
+
+
+def _report(name):
+    """The library report that the CLI writes for TABLE_SPECS[name]."""
+    command, spec, seed = TABLE_SPECS[name]
+    noise = NoiseSpec(**spec["noise"]) if "noise" in spec else None
+    if command == "bench":
+        methods = [make_method(m) for m in spec["methods"]]
+        return run_online_eval(SignalSpec(**spec["signal"]), noise, methods,
+                               trials=spec["trials"], base_seed=seed)
+    if command == "tvscale":
+        return run_tv_study(TVStudySpec(**{**spec, "n_grid": tuple(spec["n_grid"])}), base_seed=seed)
+    theta = generate_signal(SignalSpec(**spec["signal"]), seed)
+    return bound_profile(theta, noise, tuple(spec["families"]))
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+    def test_json_records_equal_the_csv_rows(self, tmp_path, name):
+        header, *lines = run_table(tmp_path, name, "csv").splitlines()
+        csv_records = [dict(zip(header.split(","), map(_cell, line.split(",")))) for line in lines]
+        json_records = json.loads(run_table(tmp_path, name, "json"))
+        assert _typed(json_records) == _typed(csv_records)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_SPECS))
+    def test_report_to_csv_equals_the_cli_csv(self, tmp_path, name):
+        assert _report(name).to_csv() == run_table(tmp_path, name, "csv")
+
+
+# SHA-256 of stdout at fixed seeds with float noise levels; a change to any
+# byte of a table, or of the denoise output, must show here.
+GOLDEN_SHA256 = {
+    ("bench", "csv"): "8e26b2325cfe69aa449f9e4ded0243aa3638d188175b0b4a0a9829e36d087655",
+    ("bench", "json"): "8c2865475c5878ae8c11f01bc1da6e21915ea381a3d022c55faeee840480759f",
+    ("bounds", "csv"): "2a2f8db3987876aa21a9210aa55ae102ca1a6857a118800c386c3b35d834b737",
+    ("bounds", "json"): "0b3100e019fa7cebdbebb9cab5b8b753653a535faf89c7c40d2faa81d909c5c6",
+    ("denoise", "csv"): "75c0382239ec3e83959b47cd915cbb0406bbabc462e1867396a6940590131471",
+    ("denoise", "json"): "79280ecb74b31867db0f88ed50a5dca0b4d32131601cf498acd1d309f486a0a5",
+    ("tvscale", "csv"): "7797e78f0743c9c390ffd8eca346ba36ad1a68cff31de49b456bb833a2d26e3b",
+    ("tvscale", "json"): "18b17f4bdddd15b9fee7d139919a2d70c9c8f470a1ded4a2f0af33e382f32c82",
+}
+
+
+def _golden_series():
+    return "".join(repr(math.sin(0.05 * i) + 0.3 * ((7919 * i) % 13) / 13) + "\n" for i in range(200))
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN_SHA256))
+def test_stdout_digest(tmp_path, name, fmt):
+    if name == "denoise":
+        path = tmp_path / "series.txt"
+        path.write_text(_golden_series())
+        proc = run_cli("denoise", str(path), "--family", "db4", "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+    else:
+        out = run_table(tmp_path, name, fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, fmt]
+
+
+# --- the set of knobs --------------------------------------------------------
+
+# Every flag of every subcommand.  A new flag is a new knob to document and
+# test: add it here, where review sees it.
+FLAGS = {
+    "estimate": {"--family", "--sigma", "--delta", "--lambda", "--boundary", "--format", "--out"},
+    "denoise": {"--family", "--sigma", "--delta", "--lambda", "--boundary", "--format", "--out"},
+    "bench": {"--seed", "--trials", "--format", "--out"},
+    "tvscale": {"--seed", "--format", "--out"},
+    "select": {"--family", "--sigma", "--delta", "--lambda", "--boundary", "--clamp",
+               "--format", "--out"},
+    "bounds": {"--seed", "--format", "--out"},
+}
+
+
+def test_flag_set_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAGS
+    assert sum(len(flags) for flags in got.values()) == 32

@@ -23,6 +23,7 @@ from driftwave.denoise import (
     tv_variational_bound,
 )
 from driftwave._kernels import wavelet_prefix_estimates
+from driftwave.baselines import adaptive_window_mean
 from driftwave.bench import NoiseSpec, SignalSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.selection import LossSeries, select
@@ -440,6 +441,8 @@ _PARAMETER_CALLS = {
     "tv study sigma": lambda v: TVStudySpec(1.0, v, (64,), 2),
     "tv study radius": lambda v: TVStudySpec(v, 1.0, (64,), 2),
     "tv study delta": lambda v: TVStudySpec(1.0, 1.0, (64,), 2, delta=v),
+    "adaptive window sigma": lambda v: adaptive_window_mean(_THETA, v, 0.1),
+    "adaptive window delta": lambda v: adaptive_window_mean(_THETA, 0.1, v),
 }
 
 
