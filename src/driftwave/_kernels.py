@@ -41,7 +41,7 @@ from .denoise import (
     _threshold,
     estimate_latest,
 )
-from .wavelets import _require_budget, finest, get_family, support_basis
+from .wavelets import _require_budget, _scratch, finest, get_family, support_basis
 
 # Samples per block of windows in the MAD noise scale: the block's reflect
 # fold and filter copies stay near 1 MB at any horizon (and in cache, which
@@ -105,9 +105,9 @@ def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
     fold = cfg.boundary == "reflect"
     # periodic MAD passes windows of fewer than 4 points through
     passthrough = isinstance(cfg.sigma, str) and not fold
-    # the table, its clipped copy and the thresholded table live at once
-    _require_budget(f"the Haar sweep of {T} samples", 3 * levels * T * 8)
-    details = np.empty((levels, T))
+    # the table and its one working copy (this thread's scratch when they fit)
+    _require_budget(f"the Haar sweep of {T} samples", 2 * levels * T * 8)
+    details = _scratch(0, (levels, T))
     approx, weight, lam = np.zeros(T), np.zeros(T), np.zeros(T)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
     sums = y  # sums[i - 2**j + 1]: the 2**j samples ending at y[i]
@@ -131,7 +131,9 @@ def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
         lam[m - 1 : hi, None] = _threshold(
             cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, y, m, count))
         )
-    out[:] = weight * _shrink(approx, lam) - scale @ _shrink(details, lam)
+    # _shrink(details, lam) in place in the working copy, the same bits
+    shrunk = np.clip(details, -lam, lam, out=_scratch(1, details.shape))
+    out[:] = weight * _shrink(approx, lam) - scale @ np.subtract(details, shrunk, out=shrunk)
     out[0] = y[0]
     if passthrough:
         out[1:3] = y[1:3]

@@ -11,7 +11,8 @@ with failure probability delta.
 
 Both sweeps read every window mean off one cumulative sum, so a series
 costs O(T) for the fixed window and O(T log T) for the doubling test, which
-runs for all prefixes as one array operation per level.  The scalar
+decides every level of every prefix in one pass over (levels x prefixes)
+arrays, a bounded block of prefixes at a time.  The scalar
 ``fixed_window_mean`` and ``adaptive_window_mean`` compute one prefix at a
 time with ``np.mean`` and are the reference the sweeps are tested against.
 Prefix sums round differently from ``np.mean``, so a doubling test whose
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import _require_finite, _require_sigma_delta
+from .denoise import _require_finite, _require_finite_params, _require_sigma_delta
 from .errors import BadWindow
+from .wavelets import _SCRATCH_BYTES
 
 ADAPTIVE_TEST_CONSTANT = 2.0
 
@@ -53,9 +55,17 @@ class WindowSweep:
     rechecked: int = 0
 
 
+def _require_integer_window(w) -> None:
+    """BadWindow unless w is an int or numpy integer; a bool or a float such
+    as 3.0 is refused, not used as a count."""
+    if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+        raise BadWindow(f"window must be an integer, got {w!r}")
+
+
 def fixed_window_mean(y: np.ndarray, w: int) -> WindowEstimate:
     """Mean of the w most recent observations."""
     y = np.asarray(y, dtype=np.float64)
+    _require_integer_window(w)
     if not 1 <= w <= len(y):
         raise BadWindow(f"window {w} outside [1, {len(y)}]")
     return WindowEstimate(float(np.mean(y[len(y) - w :])), w)
@@ -119,6 +129,7 @@ def _window_means(y: np.ndarray, sums: np.ndarray, windows: np.ndarray) -> np.nd
 def fixed_window_sweep(y: np.ndarray, w: int) -> WindowSweep:
     """Mean of the min(w, t) most recent observations of every prefix y[:t]."""
     y = _series(y)
+    _require_integer_window(w)
     if w < 1:
         raise BadWindow(f"window {w} must be at least 1")
     windows = np.minimum(np.arange(1, len(y) + 1), w)
@@ -129,16 +140,21 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
     """``adaptive_window_mean`` of every prefix y[:t], in one sweep.
 
     ``sigma`` is one noise scale for all prefixes or an array holding one
-    per prefix.  Level r of the doubling test runs for every prefix still
-    doubling with 2r <= t.  A test margin |lhs - rhs| inside the band
-    that bounds the rounding error of both the sweep's and the scalar
-    scan's arithmetic sends that prefix to ``adaptive_window_mean``.
+    per prefix.  Every doubling level r = 1, 2, 4, ... is tested for every
+    prefix at once, as one (levels x prefixes) array per quantity, a block
+    of prefixes at a time so that each array stays within
+    ``_SCRATCH_BYTES``; a prefix keeps the window of the first level whose
+    test fails, falls inside the band below, or has 2r > t.  A test margin
+    |lhs - rhs| inside the band that bounds the rounding error of both the
+    sweep's and the scalar scan's arithmetic sends that prefix to
+    ``adaptive_window_mean``.
     """
     y = _series(y)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     T = len(y)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (T,))
+    _require_finite_params(sigma=sigma, delta=delta)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not np.all(sigma >= 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma[~(sigma >= 0)][0]}")
 
@@ -147,7 +163,7 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
     # at most sum_j |partial sum j| + sum_i |y_i - y[0]|, np.mean over a
     # window by at most sum |y| there, and numpy's logs differ from math's
     # by a few ulps of the threshold; the band is 8 times their total.
-    sums_err =np.cumsum(np.abs(sums)) + np.concatenate(([0.0], np.cumsum(np.abs(y - y[0]))))
+    sums_err = np.cumsum(np.abs(sums)) + np.concatenate(([0.0], np.cumsum(np.abs(y - y[0]))))
     abs_y = np.concatenate(([0.0], np.cumsum(np.abs(y))))
     ends = np.arange(1, T + 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 never tests
@@ -155,22 +171,29 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
 
     windows = np.ones(T, dtype=np.int64)
     rechecked = np.zeros(T, dtype=bool)
-    active = ends[1:]  # prefix lengths still doubling
-    r = 1
-    while 2 * r <= T:
-        active = active[active >= 2 * r]
-        mean_r = (sums[active] - sums[active - r]) / r
-        mean_2r = (sums[active] - sums[active - 2 * r]) / (2 * r)
-        rhs = ADAPTIVE_TEST_CONSTANT * deviation[active - 1] / math.sqrt(r)
+    levels = T.bit_length() - 1  # r = 1, 2, ..., 2**(levels - 1): every r with 2r <= T
+    r = (1 << np.arange(levels))[:, None]
+    root_r = np.sqrt(r)
+    width = max(1, _SCRATCH_BYTES // (8 * max(levels, 1)))
+    for start in range(2, T + 1, width):
+        t = np.arange(start, min(start + width, T + 1))
+        # where 2r > t the indices wrap to the end of the sums; those
+        # entries are never read as a decision
+        older = t - 2 * r
+        mean_r = (sums[t] - sums[t - r]) / r
+        mean_2r = (sums[t] - sums[older]) / (2 * r)
+        rhs = ADAPTIVE_TEST_CONSTANT * deviation[t - 1] / root_r
         margin = np.abs(mean_r - mean_2r) - rhs
-        band = 8.0 * _EPS * (
-            sums_err[active] / r + abs_y[active] - abs_y[active - 2 * r] + 2.0 * rhs
-        )
-        unsure = np.abs(margin) <= band
-        rechecked[active[unsure] - 1] = True
-        active = active[~unsure & (margin <= 0.0)]
-        windows[active - 1] = 2 * r
-        r *= 2
+        band = 8.0 * _EPS * (sums_err[t] / r + abs_y[t] - abs_y[older] + 2.0 * rhs)
+        tested = older >= 0
+        unsure = (np.abs(margin) <= band) & tested
+        # each prefix stops at its first unsure, failed or untested level;
+        # the last row stands for passing every level
+        stop = np.ones((levels + 1, len(t)), dtype=bool)
+        stop[:-1] = unsure | ~(margin <= 0.0) | ~tested
+        first = stop.argmax(axis=0)
+        windows[t - 1] = 1 << first
+        rechecked[t - 1] = (first < levels) & unsure[np.minimum(first, levels - 1), np.arange(len(t))]
 
     values = _window_means(y, sums, windows)
     for t in np.flatnonzero(rechecked) + 1:

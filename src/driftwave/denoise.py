@@ -164,17 +164,21 @@ def _require_finite(y: np.ndarray) -> None:
 
 
 def _require_finite_params(**params) -> None:
-    """ValueError naming the first parameter that is NaN or infinite; None
-    and strings (no override, ``sigma="mad"``) are not numbers to check."""
+    """ValueError naming the first parameter that is NaN or infinite (for an
+    array, its first such entry); None and strings (no override,
+    ``sigma="mad"``) are not numbers to check."""
     for name, value in params.items():
+        if isinstance(value, np.ndarray):
+            bad = value[~np.isfinite(value)]
+            value = bad[0] if bad.size else 0.0
         if not isinstance(value, (str, type(None))) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _require_count(name: str, value) -> None:
     """ValueError unless value is a positive int or numpy integer; a float
-    such as 2.0 or 2.7 is refused, not truncated."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    such as 2.0 or 2.7 is refused, not truncated, and a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

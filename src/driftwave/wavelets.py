@@ -11,8 +11,11 @@ from pyramid synthesis of unit coefficient vectors (Mallat 1989) in
 O(n L |S|), kept as one array that acts on the window itself (the reflect
 fold absorbed).  :meth:`SupportBasis.sliding` gives the coefficients of up
 to m consecutive windows of a series as one FFT correlation with the rows,
-O(|S| m log m) rather than O(|S| m**2).  The MAD noise scale's finest-level
-coefficients need only the high-pass taps: :func:`finest` takes the family.
+O(|S| m log m) rather than O(|S| m**2); its FFT product and lags are
+written into two scratch buffers that each thread keeps for reuse
+(:func:`_scratch`), so a sweep allocates no large temporaries.  The MAD
+noise scale's finest-level coefficients need only the high-pass taps:
+:func:`finest` takes the family.
 
 Row order, shared by both: the single approximation row first, then detail
 rows coarse-to-fine; within a level, positions run left to right (oldest to
@@ -21,6 +24,8 @@ newest sample).
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -145,6 +150,40 @@ def _require_budget(what: str, need: int, held: int = 0) -> None:
             f"{what}: {need / 2**20:.0f} MB{beside} is over the "
             f"{SUPPORT_BUDGET_BYTES / 2**20:.0f} MB budget"
         )
+
+
+# Largest scratch array kept per thread for reuse.  glibc may hand a freed
+# block of this size back to the operating system (unmapped, or trimmed off
+# the heap, depending on what the process freed before), and then a sweep
+# that allocates its FFT product and lags afresh faults their pages back in
+# at every level: ~120 minor faults per db8 sweep of the 500-sample paper
+# tables.  1 MiB holds each of the two at every db8 level up to windows of
+# 512 (series of up to 1023 samples) and the Haar block-sum table of a
+# 2048-sample series; larger requests allocate per call, so a long horizon
+# does not keep its largest level's buffers.
+_SCRATCH_BYTES = 1 << 20
+
+_kept = threading.local()
+
+
+def _scratch(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of ``shape``: a view of this thread's kept
+    buffer ``slot`` (0 or 1) when it fits in ``_SCRATCH_BYTES``, else a new
+    array.  A kept buffer grows to the largest request it has served, so a
+    process never holds more than its sweeps have used.  The view is valid
+    until the next request for the same slot in the same thread: a caller
+    must be done with it before calling anything that asks for that slot.
+    Per thread because numpy releases the GIL inside FFTs and ufunc loops."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > _SCRATCH_BYTES:
+        return np.empty(shape, dtype)
+    buffers = getattr(_kept, "buffers", None)
+    if buffers is None:
+        buffers = _kept.buffers = [np.empty(0, np.uint8), np.empty(0, np.uint8)]
+    if buffers[slot].nbytes < nbytes:
+        buffers[slot] = np.empty(nbytes, np.uint8)
+    return buffers[slot][:nbytes].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -405,7 +444,9 @@ class SupportBasis:
         block spectra are summed (uniformly partitioned correlation), so the
         cost is O(|S| (m + c log c)): O(|S| m log m) for a full level,
         O(|S| m) for a single window.  The block spectra of the rows are
-        computed on first use and kept on the basis.
+        computed on first use and kept on the basis.  With one block, the
+        spectra x segment product and the lags go to this thread's scratch
+        (:func:`_scratch`); the coefficients returned are a new array.
         """
         m = self.rows.shape[1]
         if not 1 <= count <= m or len(y) < count + m - 1:
@@ -420,10 +461,14 @@ class SupportBasis:
         spectra = self._block_spectra(c)
         if c == m:  # one block: the plain correlation
             segment = np.fft.rfft(y[: count + m - 1], 2 * m)
-            lags = np.fft.irfft(spectra * segment, 2 * m)
-            # copy out the lags used so the 2m lags are freed here; a view
-            # would keep them alive through the caller's threshold step
-            return np.ascontiguousarray(lags[:, :count].T)
+            product = np.multiply(spectra, segment, out=_scratch(0, spectra.shape, np.complex128))
+            lags = np.fft.irfft(product, 2 * m, out=_scratch(1, (len(spectra), 2 * m)))
+            # a product too large for the scratch is freed before the copy
+            # is allocated, so the copy can reuse its memory (holding both
+            # raised the T = 4096 horizon's peak RSS by ~10 MB)
+            del product
+            # copy out the lags used: the scratch is rewritten by the next call
+            return lags[:, :count].T.copy()
         # row block b meets y[b c : b c + 2c], zero past the last sample read
         padded = np.zeros(m + c)
         padded[: count + m - 1] = y[: count + m - 1]

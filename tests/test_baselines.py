@@ -27,7 +27,7 @@ class TestFixedWindowMean:
         assert est.value == want
         assert est.window == w
 
-    @pytest.mark.parametrize("w", [0, 5, -1])
+    @pytest.mark.parametrize("w", [0, 5, -1, 2.5, np.float64(3.0), True])
     def test_bad_window(self, w):
         with pytest.raises(BadWindow):
             fixed_window_mean(np.ones(4), w)
@@ -100,6 +100,13 @@ class TestAdaptiveWindowMean:
         with pytest.raises(ValueError, match="sigma must be"):
             adaptive_window_sweep(y, sigma, 0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, [0.1] * 7 + [math.nan], [0.1, -math.inf] + [0.1] * 6])
+    def test_sweep_names_non_finite_sigma(self, sigma):
+        # checked before the sign, so NaN is not reported as negative
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        with pytest.raises(ValueError, match=r"sigma must be finite, got -?(nan|inf)"):
+            adaptive_window_sweep(y, sigma, 0.1)
+
 
 class TestSigmaProxy:
     def test_half_range(self):
@@ -158,6 +165,25 @@ class TestAdaptiveWindowSweep:
             assert sweep.windows[t - 1] == ref.window, t
             assert abs(sweep.values[t - 1] - ref.value) <= tol, t
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), kind=series_kinds,
+        sigma=st.one_of(known_sigmas, st.just("per-prefix")),
+        block_bytes=st.integers(1, 400),
+    )
+    def test_blocks_of_prefixes_change_no_bits(self, seed, T, kind, sigma, block_bytes):
+        y = sweep_series(kind, seed, T)
+        if sigma == "per-prefix":  # zeros among them, whose prefixes are rechecked
+            sigma = np.random.default_rng(seed).choice([0.0, 0.05, 0.3, 1.0], T)
+        whole = adaptive_window_sweep(y, sigma, 0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            # a block of max(1, block_bytes // (8 levels)) prefixes
+            mp.setattr(baselines, "_SCRATCH_BYTES", block_bytes)
+            blocked = adaptive_window_sweep(y, sigma, 0.1)
+        assert blocked.values.tobytes() == whole.values.tobytes()
+        assert blocked.windows.tobytes() == whole.windows.tobytes()
+        assert blocked.rechecked == whole.rechecked
+
     def test_borderline_prefixes_fall_back_to_scalar_scan(self, monkeypatch):
         # With sigma = 0 every doubling test compares a rounding-level
         # difference against 0, so every prefix is re-decided.
@@ -177,6 +203,19 @@ class TestAdaptiveWindowSweep:
             ref = scalar(y[:t], 0.0, 0.1)
             assert sweep.windows[t - 1] == ref.window
             assert sweep.values[t - 1] == ref.value
+
+    def test_level_past_the_prefix_is_never_rechecked(self):
+        # y[:3] passes its one level (r = 1) clearly; its sigma puts the
+        # margin of r = 2, which needs 4 samples, at 0.  Read with the means
+        # of the 2 newest samples (1) and of 4 samples wrapping round to the
+        # series' zero tail (0), that level would look unsure.
+        y = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        unit = math.sqrt(2.0 * math.log(2.0 * math.log2(3) / 0.1))
+        sigma = np.full(8, 0.3)
+        sigma[2] = math.sqrt(2.0) / baselines.ADAPTIVE_TEST_CONSTANT / unit
+        sweep = adaptive_window_sweep(y, sigma, 0.1)
+        assert sweep.rechecked == 0
+        assert sweep.windows[2] == adaptive_window_mean(y[:3], sigma[2], 0.1).window == 2
 
     def test_clear_margins_need_no_fallback(self):
         y = np.random.default_rng(4).normal(0.0, 0.5, 500)
@@ -226,5 +265,9 @@ class TestFixedWindowSweep:
             fixed_window_sweep(np.ones(4), 0)
         with pytest.raises(BadWindow):
             fixed_window_sweep(np.empty(0), 2)
+        # only an integer is a window: a float is refused, not used as an index
+        for w in (2.5, np.float64(3.0), True):
+            with pytest.raises(BadWindow, match="window must be an integer"):
+                fixed_window_sweep(np.ones(4), w)
         with pytest.raises(NonFiniteValue):
             fixed_window_sweep(np.array([1.0, math.inf]), 2)

@@ -62,7 +62,7 @@ class TestSignals:
         with pytest.raises(ValueError):
             SignalSpec("sawtooth", 100)
 
-    @pytest.mark.parametrize("n_points", [8.5, 8.0, "8", None, 0, -3])
+    @pytest.mark.parametrize("n_points", [8.5, 8.0, "8", None, 0, -3, True])
     def test_n_points_must_be_a_positive_integer(self, n_points):
         with pytest.raises(ValueError, match="n_points must be a positive integer"):
             SignalSpec("sine", n_points)
@@ -161,7 +161,7 @@ class TestOnlineEval:
                 base_seed=0,
             )
 
-    @pytest.mark.parametrize("trials", [2.5, 2.0, "2", 0])
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "2", 0, True])
     def test_trials_must_be_a_positive_integer(self, trials):
         with pytest.raises(ValueError, match="trials must be a positive integer"):
             run_online_eval(SignalSpec("sine", 16), NoiseSpec("uniform", (0.1,)),
@@ -245,7 +245,7 @@ class TestTableText:
 
 
 class TestMakeMethod:
-    @pytest.mark.parametrize("window", [2.7, 4.0, "4", None, 0])
+    @pytest.mark.parametrize("window", [2.7, 4.0, "4", None, 0, True])
     def test_window_must_be_a_positive_integer(self, window):
         with pytest.raises(ValueError, match="window must be a positive integer"):
             FixedWindowMethod(window)

@@ -201,6 +201,9 @@ class TestBench:
             {"methods": [{"kind": "fixed_window", "window": "4"}]},
             {"noise": {"levels": [0.2, float("nan")]}, "methods": [{"kind": "adaptive_window"}]},
             {"noise": {"levels": [float("inf")]}, "methods": [{"kind": "adaptive_window"}]},
+            # a JSON true is not a count
+            {"trials": True},
+            {"methods": [{"kind": "fixed_window", "window": True}]},
         ],
     )
     def test_spec_error_is_one_line_config_error(self, tmp_path, overrides):
@@ -261,6 +264,8 @@ class TestTvscale:
             pytest.param({"n_grid": [32.0, 64]}, "n_grid", id="n_grid-32.0"),
             pytest.param({"trials": 1.5}, "trials", id="trials-1.5"),
             pytest.param({"n_grid": 32}, "", id="n_grid-not-a-list"),
+            pytest.param({"trials": True}, "trials", id="trials-true"),
+            pytest.param({"n_grid": [True, 64]}, "n_grid", id="n_grid-true"),
         ],
     )
     def test_spec_error_is_one_line_config_error(self, tmp_path, overrides, word):

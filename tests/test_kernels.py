@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import driftwave
 from driftwave._kernels import prefix_estimates_reference, wavelet_prefix_estimates
 from driftwave.errors import DomainError, NonFiniteValue
 
@@ -112,3 +119,56 @@ class TestEdgeCases:
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
             wavelet_prefix_estimates(np.zeros(8), "haar", sigma=0.3, delta=0.1, boundary="pad")
+
+
+class TestScratch:
+    """The FFT product, lags and Haar table live in buffers each thread keeps."""
+
+    @pytest.mark.parametrize("family", ["db8", "haar"])
+    def test_threads_match_serial(self, family):
+        # numpy releases the GIL inside FFTs and ufunc loops: buffers shared
+        # between threads would mix one sweep's lags into another's
+        rng = np.random.default_rng(21)
+        series = [rng.normal(0.4, 0.3, int(T)) for T in rng.integers(200, 1024, 64)]
+
+        def sweep(y):
+            return wavelet_prefix_estimates(y, family, sigma=0.3, delta=0.1)
+
+        serial = [sweep(y) for y in series]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often between the numpy calls too
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(sweep, series, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
+    def test_db8_sweeps_fault_no_pages_back_in(self):
+        # Freed FFT buffers of a db8 level go back to the operating system
+        # once the bound profile has run between the tables, so allocating
+        # them per call costs ~120 minor faults per db8 sweep.  A fresh
+        # interpreter, because the allocator's thresholds depend on what the
+        # process freed before.
+        code = """
+import resource
+import driftwave as dw
+methods = [dw.WaveletMethod("db8"), dw.WaveletMethod("haar"),
+           dw.AdaptiveWindowMethod(), dw.FixedWindowMethod(16)]
+signal = dw.SignalSpec("doppler", 500)
+noise = dw.NoiseSpec("uniform", (0.2, 0.3, 0.5, 0.7, 1.0))
+theta = dw.generate_signal(signal, 0)
+def tables():
+    dw.run_online_eval(signal, noise, methods, 5, 0, delta=0.1)
+    dw.bound_profile(theta, noise, ("haar", "db8"), delta=0.1)
+tables()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    tables()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (3 * 5 * 5))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(driftwave.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert float(done.stdout) < 20

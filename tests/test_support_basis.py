@@ -214,8 +214,8 @@ class TestBasisMatchesDense:
         support_basis.cache_clear()
 
     def test_haar_sweep_over_the_byte_budget_refused(self, monkeypatch):
-        # 10 rows of 1500 detail sums, their clipped copy and the thresholded table
-        need = 3 * 10 * 1500 * 8
+        # 10 rows of 1500 detail sums and the one working copy they are shrunk in
+        need = 2 * 10 * 1500 * 8
         y = drifting_series(3, 1500)
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need)
         assert np.all(np.isfinite(_kernels.wavelet_prefix_estimates(y, "haar", sigma=0.1, delta=0.1)))

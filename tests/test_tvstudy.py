@@ -55,12 +55,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TVStudySpec(1.0, 1.0, (512, 256), 2)
 
-    @pytest.mark.parametrize("grid", [(32.5,), (32.0, 64), (32, "64"), (np.float64(64),)])
+    @pytest.mark.parametrize("grid", [(32.5,), (32.0, 64), (32, "64"), (np.float64(64),), (True, 64)])
     def test_grid_entries_must_be_integers(self, grid):
         with pytest.raises(ValueError, match="each n_grid entry must be a positive integer"):
             TVStudySpec(1.0, 1.0, grid, 2)
 
-    @pytest.mark.parametrize("trials", [1.5, 2.0, 0, None])
+    @pytest.mark.parametrize("trials", [1.5, 2.0, 0, None, True])
     def test_trials_must_be_a_positive_integer(self, trials):
         with pytest.raises(ValueError, match="trials must be a positive integer"):
             TVStudySpec(1.0, 1.0, (64,), trials)
