@@ -37,53 +37,67 @@ from .denoise import (
     _mad_rows,
     _noise_scale,
     _require_finite,
+    _require_finite_output,
     _shrink,
     _threshold,
     estimate_latest,
 )
-from .wavelets import _require_budget, _scratch, finest, get_family, support_basis
-
-# Samples per block of windows in the MAD noise scale: the block's reflect
-# fold and filter copies stay near 1 MB at any horizon (and in cache, which
-# made 2**16 faster than larger blocks on a db8 sweep of T = 4096).
-_MAD_BLOCK = 1 << 16
+from .wavelets import _SCRATCH_BYTES, _require_budget, _scratch, finest, get_family, support_basis
 
 
 def _floor_log2(t: int) -> int:
     return t.bit_length() - 1
 
 
+def _levels(T: int) -> list[tuple[int, int, int]]:
+    """(m, lo, hi) for each dyadic window size m = 2, 4, ... <= T: the
+    prefixes y[:t] with m <= t < 2m, whose newest dyadic window holds m
+    samples, are prefix indices lo .. hi - 1 (lo = m - 1).  The one level
+    walk of both sweeps and of ``bench.bound_profile``."""
+    sizes = [1 << k for k in range(1, _floor_log2(T) + 1)]
+    return [(m, m - 1, min(2 * m - 1, T)) for m in sizes]
+
+
+def _raw_prefixes(cfg: DenoiseConfig) -> int:
+    """How many leading prefixes pass their newest sample through: y[:1],
+    and under periodic MAD y[:2] and y[:3] too, windows too short for a
+    median of finest-level coefficients.  A level with hi <= it is skipped."""
+    return 3 if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" else 1
+
+
+def _level_threshold(cfg: DenoiseConfig, y, m: int, n: int, count: int):
+    """Threshold of the ``count`` windows y[j : j + m] of one level, each
+    transformed at length n, by the estimator's own noise-scale and threshold
+    rule: a float for the level, or a column with one value per window."""
+    return _threshold(cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, y, m, count)))
+
+
 def _mad_sigma(cfg: DenoiseConfig, y, m: int, count: int) -> np.ndarray:
-    """MAD noise scale of each of the ``count`` windows y[j : j + m]."""
-    family, fold = get_family(cfg.family), cfg.boundary == "reflect"
+    """MAD noise scale of each of the ``count`` windows y[j : j + m], a block
+    of windows at a time: a reflect fold of 16 m bytes per window keeps a
+    block near ``_SCRATCH_BYTES`` at any horizon (and in cache, which made
+    1 MiB faster than larger blocks on a db8 sweep of T = 4096)."""
+    family = get_family(cfg.family)
     windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
-    rows = max(1, _MAD_BLOCK // m)
-    sig = np.empty(count)
-    for start in range(0, count, rows):
-        sig[start : start + rows] = _mad_rows(finest(family, windows[start : start + rows], fold=fold))
-    return sig
+    rows = max(1, _SCRATCH_BYTES // (16 * m))
+    return np.concatenate([
+        _mad_rows(finest(family, windows[j : j + rows], cfg.boundary)) for j in range(0, count, rows)
+    ])
 
 
 def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
     """out[t - 1] = the estimate from y[:t], one dyadic window size at a
-    time, thresholded by the estimator's own noise-scale and threshold rule."""
+    time, thresholded by :func:`_level_threshold`."""
     if get_family(cfg.family).name == "haar":
         return _haar_prefix_kernel(y, cfg, out)
-    T = y.shape[0]
-    out[0] = y[0]
-    for k in range(1, _floor_log2(T) + 1):
-        m = 1 << k
-        lo_t, hi_t = m, min(2 * m - 1, T)
-        if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" and m < 4:
-            out[lo_t - 1 : hi_t] = y[lo_t - 1 : hi_t]
+    raw = _raw_prefixes(cfg)
+    out[:raw] = y[:raw]
+    for m, lo, hi in _levels(y.shape[0]):
+        if hi <= raw:
             continue
         basis = support_basis(cfg.family, m, cfg.boundary)
-        count = hi_t - m + 1
-        B = basis.sliding(y, count)
-        lam = _threshold(
-            cfg, m, lambda: _noise_scale(cfg, basis.n, lambda: _mad_sigma(cfg, y, m, count))
-        )
-        out[lo_t - 1 : hi_t] = _shrink(B, lam) @ basis.weights
+        B = basis.sliding(y, hi - lo)
+        out[lo:hi] = _shrink(B, _level_threshold(cfg, y, m, basis.n, hi - lo)) @ basis.weights
     return out
 
 
@@ -103,40 +117,31 @@ def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
     T = y.shape[0]
     levels = _floor_log2(T)
     fold = cfg.boundary == "reflect"
-    # periodic MAD passes windows of fewer than 4 points through
-    passthrough = isinstance(cfg.sigma, str) and not fold
+    raw = _raw_prefixes(cfg)
     # the table and its one working copy (this thread's scratch when they fit)
     _require_budget(f"the Haar sweep of {T} samples", 2 * levels * T * 8)
     details = _scratch(0, (levels, T))
     approx, weight, lam = np.zeros(T), np.zeros(T), np.zeros(T)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
-    sums = y  # sums[i - 2**j + 1]: the 2**j samples ending at y[i]
-    for j in range(1, levels + 1):
-        half, m = 1 << (j - 1), 1 << j
-        row = details[j - 1]
-        row[: m - 1] = 0.0
-        np.subtract(sums[:-half], sums[half:], out=row[m - 1 :])
-        row *= scale[j - 1]
+    sums = y  # after level m, sums[i - m + 1]: the m samples ending at y[i]
+    for j, (m, lo, hi) in enumerate(_levels(T)):
+        half, row = m // 2, details[j]
+        row[:lo] = 0.0
+        np.subtract(sums[:-half], sums[half:], out=row[lo:])
+        row *= scale[j]
         sums = sums[half:] + sums[:-half]
-        # prefixes y[:t] with m <= t < 2m: indices m - 1 .. hi - 1
-        hi = min(2 * m - 1, T)
-        count = hi - m + 1
-        if passthrough and m < 4:
+        if hi <= raw:
             continue
         n = 2 * m if fold else m
         root = n ** -0.5
-        approx[m - 1 : hi] = sums[:count] * ((2.0 if fold else 1.0) * root)
-        weight[m - 1 : hi] = root
+        np.multiply(sums[: hi - lo], (2.0 if fold else 1.0) * root, out=approx[lo:hi])
+        weight[lo:hi] = root
         # a float for the level or a column with one value per window
-        lam[m - 1 : hi, None] = _threshold(
-            cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, y, m, count))
-        )
+        lam[lo:hi, None] = _level_threshold(cfg, y, m, n, hi - lo)
     # _shrink(details, lam) in place in the working copy, the same bits
     shrunk = np.clip(details, -lam, lam, out=_scratch(1, details.shape))
     out[:] = weight * _shrink(approx, lam) - scale @ np.subtract(details, shrunk, out=shrunk)
-    out[0] = y[0]
-    if passthrough:
-        out[1:3] = y[1:3]
+    out[:raw] = y[:raw]
     return out
 
 
@@ -157,8 +162,8 @@ def wavelet_prefix_estimates(
     prefix; under the periodic boundary the raw observation is passed through
     while the window is too short (fewer than 4 points) to carry
     finest-level coefficients worth a median.  NaN or infinite observations
-    raise :class:`NonFiniteValue`; the parameters are checked as
-    :class:`DenoiseConfig` checks them (``ValueError``).
+    or estimates raise :class:`NonFiniteValue`; the parameters are checked
+    as :class:`DenoiseConfig` checks them (``ValueError``).
     """
     cfg = DenoiseConfig(
         family=family, sigma=sigma, delta=delta, lambda_override=lam_override, boundary=boundary
@@ -168,7 +173,9 @@ def wavelet_prefix_estimates(
     if T == 0:
         return np.empty(0)
     _require_finite(y)
-    return _prefix_kernel(y, cfg, np.empty(T))
+    out = _prefix_kernel(y, cfg, np.empty(T))
+    _require_finite_output(out, lambda i: f"the estimate from y[:{i + 1}]")
+    return out
 
 
 def prefix_estimates_reference(

@@ -11,6 +11,7 @@ bit-identical across runs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -216,6 +217,17 @@ class CsvReplayMethod:
         return self.estimates[: len(y)]
 
 
+def decode_text(data: bytes) -> str:
+    """``data`` decoded as UTF-8 with a leading byte-order mark dropped: how
+    every text input (series, panel, spec, replay file) is read.  Bytes that
+    are not UTF-8 raise :class:`ParseError` naming their line."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+
+
 def load_estimates_csv(stream) -> np.ndarray:
     """Parse an external estimate series: header ``t,estimate``, t ascending from 1."""
     reader = csv.reader(stream)
@@ -257,8 +269,8 @@ def make_method(spec: dict):
     if kind == "passthrough":
         return PassthroughMethod()
     if kind == "csv":
-        with open(spec["path"], newline="") as fh:
-            estimates = load_estimates_csv(fh)
+        with open(spec["path"], "rb") as fh:
+            estimates = load_estimates_csv(io.StringIO(decode_text(fh.read()), newline=""))
         return CsvReplayMethod(spec.get("name", spec["path"]), estimates)
     raise ValueError(f"unknown method kind {kind!r}")
 
@@ -412,12 +424,10 @@ def bound_profile(
     count = n - 1  # prefixes t = 2..n
     for fi, family in enumerate(families):
         totals = np.zeros(len(noise.levels))
-        for k in range(1, n.bit_length()):
-            m = 1 << k
-            hi_t = min(2 * m - 1, n)
+        for m, lo, hi in _kernels._levels(n):
             basis = support_basis(family, m, boundary)
             wts = 6.0 * np.abs(basis.weights)
-            coeff_abs = np.abs(basis.sliding(theta, hi_t - m + 1))  # (prefixes, |S|)
+            coeff_abs = np.abs(basis.sliding(theta, hi - lo))  # (prefixes, |S|)
             for li, sigma in enumerate(sigmas):
                 lam = default_lambda(sigma, delta, m)
                 totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())

@@ -6,6 +6,7 @@ print a report's table (a header plus rows): --format csv and --format json
 carry the same rows, and every float cell prints as a Python float (so a
 noise level given as 1 prints as 1.0 in both).  Exit codes: 0 success,
 2 input error (unreadable or malformed data), 3 configuration error.
+Every text input is read as UTF-8; a leading byte-order mark is dropped.
 The environment variable DRIFTWAVE_LOG sets the log level, nothing else.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -20,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .bench import (NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method,
-                    run_online_eval, table_text)
+from .bench import (NoiseSpec, SignalSpec, bound_profile, decode_text, generate_signal,
+                    make_method, run_online_eval, table_text)
 from .denoise import DenoiseConfig, denoise_signal, estimate_latest
 from .errors import DomainError, DriftwaveError, NonFiniteValue, ParseError
 from .selection import ingest_panel, select
@@ -39,11 +41,18 @@ class _ConfigError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for '-', read by :func:`decode_text`."""
+    if path == "-":
+        return decode_text(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        return decode_text(fh.read())
+
+
 def _read_series(path: str) -> np.ndarray:
     """One observation per line, or "t,value" rows; oldest first; '-' = stdin."""
-    text = sys.stdin.read() if path == "-" else open(path).read()
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -87,11 +96,9 @@ def _denoise_config(args) -> DenoiseConfig:
 
 
 def _load_spec(path: str) -> dict:
-    with open(path) as fh:
-        text = fh.read()
     try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+        spec = json.loads(_read_text(path))
+    except (ParseError, json.JSONDecodeError) as exc:
         raise _ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(spec, dict):
         raise _ConfigError(f"{path}: spec must be a JSON object")
@@ -190,11 +197,7 @@ def cmd_tvscale(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _denoise_config(args)
-    if args.panel == "-":
-        panel = ingest_panel(sys.stdin)
-    else:
-        with open(args.panel) as fh:
-            panel = ingest_panel(fh)
+    panel = ingest_panel(io.StringIO(_read_text(args.panel)))
     result = select(panel, cfg, clamp=args.clamp)
     _emit(result.to_json() + "\n", args.out)
     return EXIT_OK

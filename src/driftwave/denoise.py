@@ -87,14 +87,14 @@ class BoundReport:
 
 
 def soft_threshold(x, lam):
-    """sign(x) * max(|x| - lam, 0), elementwise on arrays; an array ``lam``
+    """x - clip(x, -lam, lam): sign(x) * max(|x| - lam, 0), with every killed
+    value +0.0.  Elementwise on arrays (:func:`_shrink`); an array ``lam``
     broadcasts against x.  A negative or NaN threshold raises ValueError."""
     if not np.all(np.asarray(lam) >= 0):
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     if np.isscalar(x):
-        return float(math.copysign(max(abs(x) - lam, 0.0), x))
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+        return float(x - min(max(x, -lam), lam))
+    return _shrink(np.asarray(x, dtype=np.float64), lam)
 
 
 def default_lambda(sigma: float, delta: float, n: int) -> float:
@@ -163,6 +163,17 @@ def _require_finite(y: np.ndarray) -> None:
         raise NonFiniteValue(f"observation {bad} is {float(y[bad])}; need finite values")
 
 
+def _require_finite_output(values, name) -> None:
+    """NonFiniteValue naming ``name(i)`` for the first entry i of ``values``
+    that is NaN or infinite: finite observations near the float64 limit can
+    overflow inside the transform, and an overflow must not pass for a
+    number (or win a selection)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteValue(f"{name(i)} is not finite: the observations overflow float64")
+
+
 def _require_finite_params(**params) -> None:
     """ValueError naming the first parameter that is NaN or infinite (for an
     array, its first such entry); None and strings (no override,
@@ -226,12 +237,10 @@ def _mad_rows(finest: np.ndarray) -> np.ndarray:
 
 
 def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
-    """Soft threshold of an array as ``coeffs - clip(coeffs, -lam, lam)``.
-
-    Equal to :func:`soft_threshold` bit for bit except that every killed
-    coefficient is +0.0 where soft_threshold keeps the sign of zero; a dot
-    with the newest-sample weights starts its sum at +0.0, so the estimates
-    are the same bits.  Shared by the stacked estimate and the prefix kernel.
+    """Soft threshold of an array as ``coeffs - clip(coeffs, -lam, lam)``:
+    the one soft-threshold formula, without :func:`soft_threshold`'s check
+    of lam.  Every killed coefficient is +0.0.  Shared by soft_threshold, the
+    stacked estimate and the prefix kernel.
     """
     return coeffs - np.clip(coeffs, -lam, lam)
 
@@ -273,8 +282,7 @@ def _estimate_rows(
     """
     n_used = windows.shape[1]
     basis = support_basis(cfg.family, n_used, cfg.boundary)
-    fold = cfg.boundary == "reflect"
-    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(finest(basis.family, windows, fold=fold)))
+    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(finest(basis.family, windows, cfg.boundary)))
     lam = _threshold(cfg, n_used, lambda: sigma)
     shrunk = _shrink(basis.coefficients(windows), lam)
     return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
@@ -288,16 +296,20 @@ def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     only the coefficients in the window's support basis contribute.
     ``n_used`` reports the number of observations entering the window, not
     the transform length (which doubles under the reflect boundary).
-    NaN or infinite observations raise :class:`NonFiniteValue`.
+    NaN or infinite observations, or an estimate, threshold or noise scale
+    that overflows, raise :class:`NonFiniteValue`.
     """
     window = _window(y)
     values, lam, sigma = _estimate_rows(window[None, :], cfg)
     lam, sigma = float(np.ravel(lam)[0]), float(np.ravel(sigma)[0])
-    return Estimate(float(values[0]), lam, sigma, len(window))
+    est = Estimate(float(values[0]), lam, sigma, len(window))
+    _require_finite_output([est.value, lam, sigma], lambda i: repr(est))
+    return est
 
 
 def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Denoised values aligned to the most recent ``n_used`` time-points."""
+    """Denoised values aligned to the most recent ``n_used`` time-points.
+    Non-finite observations or outputs raise :class:`NonFiniteValue`."""
     window = _window(y)
     n_used = len(window)
     vec = reflect_fold(window) if cfg.boundary == "reflect" else window
@@ -306,7 +318,9 @@ def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     finest = beta[None, len(vec) // 2 :]
     lam = _threshold(cfg, n_used, lambda: _noise_scale(cfg, len(vec), lambda: _mad_rows(finest)))
     shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
-    return pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
+    values = pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
+    _require_finite_output(values, lambda i: f"denoised value {i}")
+    return values
 
 
 def sparsity_bound(

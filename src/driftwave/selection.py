@@ -19,7 +19,9 @@ import numpy as np
 
 # estimate_latest is not called here; it stays importable from this module,
 # where perfbench's traced select-stream run wraps it
-from .denoise import DenoiseConfig, _estimate_rows, dyadic_truncate, estimate_latest  # noqa: F401
+from .denoise import (  # noqa: F401
+    DenoiseConfig, _estimate_rows, _require_finite_output, dyadic_truncate, estimate_latest,
+)
 from .errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
 
 
@@ -122,7 +124,8 @@ def select(
     ``clamp`` restricts each denoised estimate to the observed range of its
     own series (useful for losses with hard bounds); off by default so the
     estimator is never silently clipped.  A NaN or infinite loss raises
-    :class:`NonFiniteValue` naming the first such model in panel order.
+    :class:`NonFiniteValue` naming the first such model in panel order, as
+    does a denoised loss or threshold that overflows float64.
     """
     if not panel:
         raise EmptyPanel("panel holds no loss series")
@@ -139,7 +142,11 @@ def select(
         raise NonFiniteValue(f"model {ids[int(np.argmin(finite))]!r} has a NaN or infinite loss")
     if losses.shape[1] < 2:
         raise TooShort(f"need at least 2 observations, got {losses.shape[1]}")
-    denoised, _, _ = _estimate_rows(dyadic_truncate(losses), cfg)
+    denoised, lam, _ = _estimate_rows(dyadic_truncate(losses), cfg)
+    # an infinite threshold (an overflowed MAD sigma) zeroes a finite estimate
+    _require_finite_output(
+        denoised + 0.0 * np.ravel(lam), lambda i: f"the denoised loss of model {ids[i]!r}"
+    )
     if clamp:
         denoised = np.clip(denoised, losses.min(axis=1), losses.max(axis=1))
     model_ids = _shared_ids(tuple(ids))

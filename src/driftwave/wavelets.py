@@ -196,10 +196,6 @@ class WaveletFamily:
     filter: np.ndarray
     highpass: np.ndarray
 
-    @property
-    def vanishing_moments(self) -> int:
-        return len(self.filter) // 2
-
 
 def get_family(name: str) -> WaveletFamily:
     """The family named ``name`` (case-insensitive; ``db1`` is Haar).  Each
@@ -234,10 +230,6 @@ class TransformMatrix:
     n: int
     rows: np.ndarray
     index_map: tuple[tuple[str, int, int], ...] = field(repr=False)
-
-    @property
-    def levels(self) -> int:
-        return self.n.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -282,9 +274,7 @@ def build_matrix(family: WaveletFamily, n: int) -> TransformMatrix:
     Row order is approximation first, then details coarse-to-fine, which for
     Haar reproduces the textbook matrix layout exactly.
     """
-    if n < 2 or (n & (n - 1)) != 0:
-        raise NonPowerOfTwo(f"transform length must be 2**k with k >= 1, got {n}")
-
+    _check_length(n)
     approx = np.eye(n)  # rows of the running approximation basis
     details: list[np.ndarray] = []  # finest first
     m = n
@@ -501,9 +491,10 @@ class SupportBasis:
         return self._spectra[c]
 
 
-def finest(family: WaveletFamily, windows: np.ndarray, *, fold: bool) -> np.ndarray:
+def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndarray:
     """Finest-level detail coefficients (the last n/2 of a transform of
-    length n) of each window along the last axis, or with ``fold`` of its fold.
+    length n) of each window along the last axis, arranged per ``boundary``
+    (the reflect fold, or the window itself under periodic).
 
     The periodized vector (the reflect fold or the window itself) and its
     wrap, L - 2 samples for L taps (several periods when the filter is
@@ -515,6 +506,7 @@ def finest(family: WaveletFamily, windows: np.ndarray, *, fold: bool) -> np.ndar
     the last bit."""
     g = family.highpass
     w = windows.shape[-1]
+    fold = boundary == "reflect"
     m = 2 * w if fold else w
     buf = np.empty((m + len(g) - 2,) + windows.shape[:-1])
     ext = buf.T

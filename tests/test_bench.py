@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftwave.bench import (
     AdaptiveWindowMethod,
@@ -19,7 +21,9 @@ from driftwave.bench import (
     run_online_eval,
     table_text,
 )
+from driftwave.denoise import default_lambda, dyadic_truncate, reflect_fold, sparsity_bound
 from driftwave.errors import LengthMismatch, NonFiniteValue, ParseError
+from driftwave.wavelets import FAMILY_NAMES, cached_matrix, forward, last_column_support
 
 
 class TestSignals:
@@ -278,6 +282,31 @@ class TestBoundProfile:
             total += 6.0 * (1.0 / np.sqrt(2 * m)) * min(np.sqrt(2 * m) * c, lam)
         want = total / (n - 1)
         assert abs(prof.value("haar", 0.25) - want) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["doppler", "sine", "random_coin", "piecewise_constant"]),
+        T=st.integers(2, 300), family=st.sampled_from(FAMILY_NAMES),
+        boundary=st.sampled_from(["reflect", "periodic"]), seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(st.sampled_from([0.0, 0.05, 0.2, 1.0]), min_size=1, max_size=3, unique=True),
+    )
+    def test_matches_the_dense_oracle(self, kind, T, family, boundary, seed, levels):
+        """The mean over prefixes t = 2..T of the dense per-prefix
+        sparsity_bound, the oracle of perfbench's check_bound_profile, under
+        either boundary."""
+        theta = generate_signal(SignalSpec(kind, T), seed)
+        noise = NoiseSpec("uniform", tuple(levels))
+        got = bound_profile(theta, noise, (family,), delta=0.1, boundary=boundary).values[0]
+        totals = np.zeros(len(levels))
+        for t in range(2, T + 1):
+            window = dyadic_truncate(theta[:t])
+            vec = reflect_fold(window) if boundary == "reflect" else window
+            W = cached_matrix(family, len(vec))
+            beta, support = forward(W, vec), last_column_support(W)
+            for li, level in enumerate(levels):
+                lam = default_lambda(noise.known_sigma(level), 0.1, len(window))
+                totals[li] += sparsity_bound(beta, support, lam)
+        np.testing.assert_allclose(got, totals / (T - 1), rtol=1e-10, atol=0)
 
     def test_zero_noise_zero_bound(self):
         theta = generate_signal(SignalSpec("doppler", 128), 0)

@@ -21,11 +21,12 @@ PACKAGE_ROOT = str(Path(driftwave.__file__).resolve().parent.parent)
 
 
 def run_python(*argv, stdin=None):
+    """Run the interpreter; a bytes ``stdin`` makes stdout and stderr bytes too."""
     path = [PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
-        text=True,
+        text=not isinstance(stdin, bytes),
         input=stdin,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
@@ -369,6 +370,79 @@ _METHODS = [
 ]
 
 # (subcommand, spec, seed); the "_int" specs give integer-typed noise levels
+BOM = b"\xef\xbb\xbf"
+SERIES = b"5.0\n1.0\n2.0\n3.0\n"
+PANEL = b"t,a,b\n1,0.5,0.4\n2,0.4,0.45\n3,0.35,0.5\n4,0.3,0.55\n"
+BOUNDS_SPEC = json.dumps({"signal": {"kind": "doppler", "n_points": 16},
+                          "noise": {"levels": [0.2]}}).encode()
+INPUTS = {"estimate": SERIES, "denoise": SERIES, "select": PANEL, "bounds": BOUNDS_SPEC}
+
+
+def _not_utf8(data: bytes) -> bytes:
+    """``data`` with byte 0xff at the start of its third line."""
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:])
+
+
+class TestTextInput:
+    """Every text input is UTF-8 with an optional byte-order mark.  Bytes
+    that are not UTF-8 are an input error (exit 2) in data and a config
+    error (exit 3) in a spec, on one stderr line."""
+
+    @pytest.mark.parametrize("command", ["estimate", "denoise", "select", "bounds"])
+    def test_bom_file_prints_the_same_bytes(self, tmp_path, command):
+        plain, marked = tmp_path / "plain", tmp_path / "bom"
+        plain.write_bytes(INPUTS[command])
+        marked.write_bytes(BOM + INPUTS[command])
+        flags = () if command == "bounds" else ("--sigma", "0.1")
+        want, got = (run_cli(command, str(path), *flags) for path in (plain, marked))
+        assert want.returncode == 0, want.stderr
+        assert (got.returncode, got.stdout) == (0, want.stdout)
+
+    def test_bom_on_stdin(self):
+        want, got = (run_cli("denoise", "-", "--sigma", "0.1", stdin=data)
+                     for data in (SERIES, BOM + SERIES))
+        assert want.returncode == 0, want.stderr
+        assert (got.returncode, got.stdout) == (0, want.stdout)
+        assert got.stdout.splitlines()[1].startswith(b"1,")
+
+    @staticmethod
+    def assert_one_line(proc, code, prefix):
+        stderr = proc.stderr if isinstance(proc.stderr, str) else proc.stderr.decode()
+        assert proc.returncode == code, stderr
+        assert stderr.splitlines() == [stderr.rstrip("\n")], stderr
+        assert stderr.startswith(prefix), stderr
+
+    @pytest.mark.parametrize("command", ["estimate", "denoise", "select"])
+    def test_non_utf8_data_is_one_line_input_error(self, tmp_path, command):
+        path = tmp_path / "data"
+        path.write_bytes(_not_utf8(INPUTS[command]))
+        proc = run_cli(command, str(path), "--sigma", "0.1")
+        self.assert_one_line(proc, 2, "driftwave: input error: line 3: byte 0xff is not UTF-8")
+
+    def test_non_utf8_stdin_is_one_line_input_error(self):
+        proc = run_cli("estimate", "-", "--sigma", "0.1", stdin=_not_utf8(SERIES))
+        self.assert_one_line(proc, 2, "driftwave: input error: line 3: byte 0xff is not UTF-8")
+
+    def test_non_utf8_spec_is_one_line_config_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"signal":\n {"kind": "doppler"},\n\xff"noise": {}}\n')
+        proc = run_cli("bounds", str(path))
+        self.assert_one_line(proc, 3, "driftwave: config error: ")
+        assert "byte 0xff is not UTF-8" in proc.stderr
+
+    def test_non_utf8_replay_file_is_one_line_input_error(self, tmp_path):
+        replay = tmp_path / "replay.csv"
+        replay.write_bytes(_not_utf8(b"t,estimate\n1,0.0\n2,0.0\n3,0.0\n"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "signal": {"kind": "sine", "n_points": 3}, "noise": {"levels": [0.1]},
+            "methods": [{"kind": "csv", "path": str(replay), "name": "ext"}],
+        }))
+        proc = run_cli("bench", str(spec), "--seed", "1")
+        self.assert_one_line(proc, 2, "driftwave: input error: line 3: byte 0xff is not UTF-8")
+
+
 TABLE_SPECS = {
     "bench": ("bench", {
         "signal": {"kind": "doppler", "n_points": 128},

@@ -42,6 +42,13 @@ class TestSoftThreshold:
         out = soft_threshold(np.array([-2.0, 0.5, 3.0]), 1.0)
         np.testing.assert_allclose(out, [-1.0, 0.0, 2.0])
 
+    def test_killed_values_are_positive_zero(self):
+        x = np.array([-0.5, -0.0, 0.0, 0.5, -2.0])
+        out = soft_threshold(x, 1.0)
+        assert not np.signbit(out[:4]).any()
+        assert out.tobytes() == (x - np.clip(x, -1.0, 1.0)).tobytes()
+        assert math.copysign(1.0, soft_threshold(-0.5, 1.0)) == 1.0
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
@@ -170,6 +177,15 @@ class TestEstimateLatest:
             estimate_latest(y, DenoiseConfig(sigma=sigma))
         assert info.value.line is None
 
+    @pytest.mark.parametrize("y, cfg", [
+        ([1e308] * 8, DenoiseConfig(family="db4", sigma="mad")),  # the value overflows
+        # the MAD sigma overflows, so every coefficient is killed and the value is 0.0
+        ([1e308, -1e308] * 4, DenoiseConfig(sigma="mad", boundary="periodic")),
+    ], ids=["value", "sigma"])
+    def test_overflow_raises(self, y, cfg):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+            estimate_latest(np.array(y), cfg)
+
 
 class TestDenoiseSignal:
     def test_lambda_zero_identity(self):
@@ -197,6 +213,10 @@ class TestDenoiseSignal:
         y[3] = bad
         with pytest.raises(NonFiniteValue):
             denoise_signal(y, DenoiseConfig(sigma="mad"))
+
+    def test_overflow_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+            denoise_signal(np.full(8, 1e308), DenoiseConfig(family="db4", sigma=0.3))
 
 
 class TestMadSigma:

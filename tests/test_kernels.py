@@ -112,6 +112,11 @@ class TestEdgeCases:
         with pytest.raises(NonFiniteValue):
             wavelet_prefix_estimates(y, "db8", sigma=sigma, delta=0.1)
 
+    @pytest.mark.parametrize("family, sigma", [("haar", "mad"), ("db4", 0.3)])
+    def test_overflow_raises(self, family, sigma):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+            wavelet_prefix_estimates(np.full(8, 1e308), family, sigma=sigma, delta=0.1)
+
     def test_bad_sigma_string(self):
         with pytest.raises(ValueError):
             wavelet_prefix_estimates(np.zeros(8), "haar", sigma="median", delta=0.1)

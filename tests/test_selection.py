@@ -66,6 +66,16 @@ class TestSelect:
         with pytest.raises(NonFiniteValue, match="'b'"):
             select(panel, DenoiseConfig(family="db8", sigma="mad"))
 
+    @pytest.mark.parametrize("losses, boundary", [
+        ([-1e308] * 8, "reflect"),  # denoised -inf
+        ([1e308, -1e308] * 4, "reflect"),  # denoised NaN
+        ([1e308, -1e308] * 4, "periodic"),  # an infinite threshold, denoised 0.0
+    ], ids=["neg-inf", "nan", "inf-threshold"])
+    def test_overflowing_model_is_named_not_chosen(self, losses, boundary):
+        panel = panel_from({"b": [0.5] * 8, "a": losses, "c": [0.6] * 8})
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="model 'a'"):
+            select(panel, DenoiseConfig(sigma="mad", boundary=boundary))
+
     def test_affine_invariance_mad_sigma(self):
         rng = np.random.default_rng(3)
         panel_data = {f"m{i}": rng.uniform(0.5, 2.0, 32) for i in range(4)}

@@ -125,12 +125,12 @@ class TestBasisMatchesDense:
             x = rng.normal(size=(2, n))  # stacked windows, periodic
             np.testing.assert_allclose(periodic.coefficients(x), x @ W[S].T, rtol=0, atol=TOL)
             np.testing.assert_allclose(
-                finest(get_family(family), x, fold=False), (x @ W.T)[:, n // 2 :],
+                finest(get_family(family), x, "periodic"), (x @ W.T)[:, n // 2 :],
                 rtol=0, atol=TOL,
             )
             stack = rng.normal(size=(3, m))  # stacked windows, folded
             np.testing.assert_allclose(
-                finest(get_family(family), stack, fold=True),
+                finest(get_family(family), stack, "reflect"),
                 (np.concatenate([stack[:, ::-1], stack], axis=1) @ W.T)[:, n // 2 :],
                 rtol=0, atol=TOL,
             )
@@ -153,7 +153,7 @@ class TestBasisMatchesDense:
         m = vec.shape[1]
         ext = vec[:, np.arange(m + len(g) - 2) % m]
         want = np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[:, ::2, :] @ g
-        got = finest(get_family(family), x, fold=fold)
+        got = finest(get_family(family), x, boundary)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
