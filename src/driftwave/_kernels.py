@@ -24,6 +24,13 @@ with a fixed number of array operations: O(T log T) work for the sweep.  The
 other families' rows are not constant on dyadic blocks, so only Haar has
 this path.
 
+Both sweeps take a (B, T) stack of series too, so the harnesses sweep all
+the trials of one noise level or horizon in one call; a single series is
+the B = 1 case.  A level runs on a chunk of rows whose FFT product (or
+Haar table) fits ``_SCRATCH_BYTES``, in this thread's scratch.  Every step
+transforms, shrinks and reduces each row on its own, so a row's estimates
+are bit-identical to a call with that row alone.
+
 :func:`prefix_estimates_reference` is the one-prefix-at-a-time contract the
 kernel is pinned to.
 """
@@ -38,10 +45,10 @@ from .denoise import (
     _noise_scale,
     _require_finite,
     _require_finite_output,
-    _shrink,
     _threshold,
     estimate_latest,
 )
+from .errors import LengthMismatch
 from .wavelets import _SCRATCH_BYTES, _require_budget, _scratch, finest, get_family, support_basis
 
 
@@ -65,83 +72,119 @@ def _raw_prefixes(cfg: DenoiseConfig) -> int:
     return 3 if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" else 1
 
 
-def _level_threshold(cfg: DenoiseConfig, y, m: int, n: int, count: int):
-    """Threshold of the ``count`` windows y[j : j + m] of one level, each
-    transformed at length n, by the estimator's own noise-scale and threshold
-    rule: a float for the level, or a column with one value per window."""
-    return _threshold(cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, y, m, count)))
+def _level_threshold(cfg: DenoiseConfig, Y, m: int, n: int, count: int):
+    """Threshold of the ``count`` windows Y[b, j : j + m] of one level in
+    each row b of a (B, T) stack, each transformed at length n, by the
+    estimator's own noise-scale and threshold rule: a float for the level,
+    or a (B, count, 1) column with one value per row and window."""
+    return _threshold(cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, Y, m, count)))
 
 
-def _mad_sigma(cfg: DenoiseConfig, y, m: int, count: int) -> np.ndarray:
-    """MAD noise scale of each of the ``count`` windows y[j : j + m], a block
-    of windows at a time: a reflect fold of 16 m bytes per window keeps a
-    block near ``_SCRATCH_BYTES`` at any horizon (and in cache, which made
-    1 MiB faster than larger blocks on a db8 sweep of T = 4096)."""
+def _mad_sigma(cfg: DenoiseConfig, Y, m: int, count: int) -> np.ndarray:
+    """MAD noise scale of each of the ``count`` windows Y[b, j : j + m] of
+    each row, (B, count), a block of windows at a time: a reflect fold of
+    16 m bytes per window keeps a block near ``_SCRATCH_BYTES`` at any
+    horizon (and in cache, which made 1 MiB faster than larger blocks on a
+    db8 sweep of T = 4096).  A row's windows are cut into blocks of ``per``
+    as for a single series, and blocks of several windows are stacked
+    across rows: their coefficients do not depend on the stack.  A block of
+    one window is not stacked, because the high-pass product of a single
+    window (Haar's two taps) goes through BLAS and rounds differently."""
     family = get_family(cfg.family)
-    windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
-    rows = max(1, _SCRATCH_BYTES // (16 * m))
-    return np.concatenate([
-        _mad_rows(finest(family, windows[j : j + rows], cfg.boundary)) for j in range(0, count, rows)
-    ])
+    windows = np.lib.stride_tricks.sliding_window_view(Y, m, axis=-1)[:, :count]
+    per = max(1, _SCRATCH_BYTES // (16 * m))
+    sigma = np.empty(windows.shape[:2])
+    for j in range(0, count, per):
+        width = min(per, count - j)
+        rows = max(1, per // width) if width > 1 else 1
+        for b in range(0, len(Y), rows):
+            block = windows[b : b + rows, j : j + width]
+            sigma[b : b + rows, j : j + width] = _mad_rows(finest(family, block, cfg.boundary))
+    return sigma
 
 
-def _prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
-    """out[t - 1] = the estimate from y[:t], one dyadic window size at a
-    time, thresholded by :func:`_level_threshold`."""
+def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
+    """``_shrink(coeffs, lam)`` written over ``coeffs``, the clip in this
+    thread's scratch slot 1: the same bits without a temporary."""
+    clipped = np.clip(coeffs, -lam, lam, out=_scratch(1, coeffs.shape))
+    return np.subtract(coeffs, clipped, out=coeffs)
+
+
+def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+    """out[b, t - 1] = the estimate from Y[b, :t] for a (B, T) stack, one
+    dyadic window size at a time, thresholded by :func:`_level_threshold`.
+
+    Each level runs on a chunk of rows whose FFT product fits
+    ``_SCRATCH_BYTES`` (the lags and the coefficients are smaller), so the
+    correlation's buffers stay in this thread's scratch; each row's
+    estimates are then its own (count, |S|) @ weights product, so a row's
+    estimates do not depend on the rows stacked with it."""
     if get_family(cfg.family).name == "haar":
-        return _haar_prefix_kernel(y, cfg, out)
+        return _haar_prefix_kernel(Y, cfg, out)
     raw = _raw_prefixes(cfg)
-    out[:raw] = y[:raw]
-    for m, lo, hi in _levels(y.shape[0]):
+    out[:, :raw] = Y[:, :raw]
+    for m, lo, hi in _levels(Y.shape[1]):
         if hi <= raw:
             continue
         basis = support_basis(cfg.family, m, cfg.boundary)
-        B = basis.sliding(y, hi - lo)
-        out[lo:hi] = _shrink(B, _level_threshold(cfg, y, m, basis.n, hi - lo)) @ basis.weights
+        step = max(1, _SCRATCH_BYTES // (16 * len(basis.rows) * (m + 1)))
+        for b in range(0, len(Y), step):
+            rows = Y[b : b + step]
+            coeffs = basis.sliding(rows, hi - lo)
+            lam = _level_threshold(cfg, rows, m, basis.n, hi - lo)
+            for i, shrunk in enumerate(_shrink_in_place(coeffs, lam), start=b):
+                out[i, lo:hi] = shrunk @ basis.weights
     return out
 
 
-def _haar_prefix_kernel(y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
     """:func:`_prefix_kernel` for Haar, every prefix in one pass over a table
-    of dyadic block sums.
+    of dyadic block sums, a chunk of rows whose table fits
+    ``_SCRATCH_BYTES`` at a time.
 
-    Row s - 1 of ``details`` holds, at prefix index i, the older-half sum
-    minus the newer-half sum of the 2**s samples ending at y[i] (0 where the
-    prefix is shorter); scaled by 2**(-s/2) it is the detail coefficient of
-    width 2**s, weight -2**(-s/2), of every window of 2**s or more samples
-    ending there.  ``approx`` holds the window's approximation coefficient
-    and ``weight`` its weight 1/sqrt(n) for a transform of length n.  Under
-    the reflect boundary the approximation is twice the window sum over
-    sqrt(n), and the coarsest detail of the fold is 0, so it is left out.
+    Row s - 1 of a series' ``details`` holds, at prefix index i, the
+    older-half sum minus the newer-half sum of the 2**s samples ending at
+    y[i] (0 where the prefix is shorter); scaled by 2**(-s/2) it is the
+    detail coefficient of width 2**s, weight -2**(-s/2), of every window of
+    2**s or more samples ending there.  ``approx`` holds the window's
+    approximation coefficient and ``weight`` its weight 1/sqrt(n) for a
+    transform of length n.  Under the reflect boundary the approximation is
+    twice the window sum over sqrt(n), and the coarsest detail of the fold
+    is 0, so it is left out.
     """
-    T = y.shape[0]
+    T = Y.shape[1]
     levels = _floor_log2(T)
     fold = cfg.boundary == "reflect"
     raw = _raw_prefixes(cfg)
     # the table and its one working copy (this thread's scratch when they fit)
     _require_budget(f"the Haar sweep of {T} samples", 2 * levels * T * 8)
-    details = _scratch(0, (levels, T))
-    approx, weight, lam = np.zeros(T), np.zeros(T), np.zeros(T)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
-    sums = y  # after level m, sums[i - m + 1]: the m samples ending at y[i]
-    for j, (m, lo, hi) in enumerate(_levels(T)):
-        half, row = m // 2, details[j]
-        row[:lo] = 0.0
-        np.subtract(sums[:-half], sums[half:], out=row[lo:])
-        row *= scale[j]
-        sums = sums[half:] + sums[:-half]
-        if hi <= raw:
-            continue
-        n = 2 * m if fold else m
-        root = n ** -0.5
-        np.multiply(sums[: hi - lo], (2.0 if fold else 1.0) * root, out=approx[lo:hi])
-        weight[lo:hi] = root
-        # a float for the level or a column with one value per window
-        lam[lo:hi, None] = _level_threshold(cfg, y, m, n, hi - lo)
-    # _shrink(details, lam) in place in the working copy, the same bits
-    shrunk = np.clip(details, -lam, lam, out=_scratch(1, details.shape))
-    out[:] = weight * _shrink(approx, lam) - scale @ np.subtract(details, shrunk, out=shrunk)
-    out[:raw] = y[:raw]
+    weight = np.zeros(T)
+    step = max(1, _SCRATCH_BYTES // (8 * max(levels, 1) * T))
+    for b in range(0, len(Y), step):
+        rows = Y[b : b + step]
+        details = _scratch(0, (len(rows), levels, T))
+        approx, lam = np.zeros(rows.shape), np.zeros(rows.shape)
+        sums = rows  # after level m, sums[:, i - m + 1]: the m samples ending at y[i]
+        for j, (m, lo, hi) in enumerate(_levels(T)):
+            half, row = m // 2, details[:, j]
+            row[:, :lo] = 0.0
+            np.subtract(sums[:, :-half], sums[:, half:], out=row[:, lo:])
+            row *= scale[j]
+            sums = sums[:, half:] + sums[:, :-half]
+            if hi <= raw:
+                continue
+            n = 2 * m if fold else m
+            root = n ** -0.5
+            np.multiply(sums[:, : hi - lo], (2.0 if fold else 1.0) * root, out=approx[:, lo:hi])
+            weight[lo:hi] = root
+            # a float for the level or a column with one value per window
+            lam[:, lo:hi, None] = _level_threshold(cfg, rows, m, n, hi - lo)
+        detail_sum = scale @ _shrink_in_place(details, lam[:, None, :])
+        # weight * _shrink(approx, lam) - detail_sum, written over approx
+        np.multiply(_shrink_in_place(approx, lam), weight, out=approx)
+        np.subtract(approx, detail_sum, out=out[b : b + step])
+    out[:, :raw] = Y[:, :raw]
     return out
 
 
@@ -154,7 +197,8 @@ def wavelet_prefix_estimates(
     lam_override: float | None = None,
     boundary: str = "reflect",
 ) -> np.ndarray:
-    """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T].
+    """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T] of
+    a series, or of each row of a (B, T) stack of series (shape of y).
 
     Each prefix is truncated to its most recent dyadic window, arranged per
     the boundary policy, and denoised; the estimate at t = 1 is the lone
@@ -162,20 +206,29 @@ def wavelet_prefix_estimates(
     prefix; under the periodic boundary the raw observation is passed through
     while the window is too short (fewer than 4 points) to carry
     finest-level coefficients worth a median.  NaN or infinite observations
-    or estimates raise :class:`NonFiniteValue`; the parameters are checked
-    as :class:`DenoiseConfig` checks them (``ValueError``).
+    or estimates raise :class:`NonFiniteValue`, naming the row of a stack;
+    the parameters are checked as :class:`DenoiseConfig` checks them
+    (``ValueError``).  Each row's estimates are bit-identical to a call
+    with that row alone.
     """
     cfg = DenoiseConfig(
         family=family, sigma=sigma, delta=delta, lambda_override=lam_override, boundary=boundary
     )
     y = np.ascontiguousarray(y, dtype=np.float64)
-    T = len(y)
-    if T == 0:
-        return np.empty(0)
+    if y.ndim not in (1, 2):
+        raise LengthMismatch(f"need a series or a (B, T) stack of series, got shape {y.shape}")
+    if y.size == 0:
+        return np.empty(y.shape)
     _require_finite(y)
-    out = _prefix_kernel(y, cfg, np.empty(T))
-    _require_finite_output(out, lambda i: f"the estimate from y[:{i + 1}]")
-    return out
+    Y = y.reshape(-1, y.shape[-1])
+    T = Y.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        out = _prefix_kernel(Y, cfg, np.empty(Y.shape))
+    if y.ndim == 1:
+        _require_finite_output(out[0], lambda i: f"the estimate from y[:{i + 1}]")
+    else:
+        _require_finite_output(out, lambda i: f"the estimate from row {i // T}'s y[:{i % T + 1}]")
+    return out.reshape(y.shape)
 
 
 def prefix_estimates_reference(

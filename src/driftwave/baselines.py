@@ -12,7 +12,10 @@ with failure probability delta.
 Both sweeps read every window mean off one cumulative sum, so a series
 costs O(T) for the fixed window and O(T log T) for the doubling test, which
 decides every level of every prefix in one pass over (levels x prefixes)
-arrays, a bounded block of prefixes at a time.  The scalar
+arrays, a bounded block of prefixes at a time.  Both take a (B, T) stack of
+series as well, swept together with a leading row axis; every step is
+elementwise along the rows, so a row's result does not depend on the
+others.  The scalar
 ``fixed_window_mean`` and ``adaptive_window_mean`` compute one prefix at a
 time with ``np.mean`` and are the reference the sweeps are tested against.
 Prefix sums round differently from ``np.mean``, so a doubling test whose
@@ -46,13 +49,14 @@ class WindowEstimate:
 @dataclass(frozen=True)
 class WindowSweep:
     """Per-prefix estimates: ``values[t-1]`` and ``windows[t-1]`` belong to
-    the prefix y[:t].  ``rechecked`` counts the prefixes whose doubling test
-    fell inside the rounding-error band and was re-decided by the scalar
-    scan (always 0 for the fixed window)."""
+    the prefix y[:t] (``[b, t-1]`` for row b of a stack).  ``rechecked``
+    counts the prefixes whose doubling test fell inside the rounding-error
+    band and was re-decided by the scalar scan (always 0 for the fixed
+    window): an int, or one count per row of a stack."""
 
     values: np.ndarray
     windows: np.ndarray
-    rechecked: int = 0
+    rechecked: int | np.ndarray = 0
 
 
 def _require_integer_window(w) -> None:
@@ -105,98 +109,132 @@ def range_sigma_proxy(y: np.ndarray) -> float:
 
 
 def _series(y) -> np.ndarray:
+    """y as a float array: a series of at least one finite observation, or
+    a (B, T) stack of B >= 1 such series."""
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or len(y) < 1:
-        raise BadWindow(f"need a series of at least one observation, got shape {y.shape}")
+    if y.ndim not in (1, 2) or y.size == 0:
+        raise BadWindow(
+            f"need a series of at least one observation or a (B, T) stack of them, got shape {y.shape}"
+        )
     _require_finite(y)
     return y
 
 
-def _centered_sums(y: np.ndarray) -> np.ndarray:
-    """Cumulative sums of y - y[0] with a leading zero.
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis with a leading zero."""
+    sums = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=sums[..., 1:])
+    return sums
+
+
+def _window_means(y: np.ndarray, sums: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Mean of the ``windows[..., t - 1]`` newest samples of every prefix
+    y[..., :t], off the centered sums of y (:func:`_cumsum0` of y - y[..., :1]).
 
     Centering on the first observation keeps the sums, and so their
     rounding error, at the scale of the series' variation, not its offset.
     """
-    return np.concatenate(([0.0], np.cumsum(y - y[0])))
-
-
-def _window_means(y: np.ndarray, sums: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    ends = np.arange(1, len(y) + 1)
-    return y[0] + (sums[ends] - sums[ends - windows]) / windows
+    ends = np.arange(1, y.shape[-1] + 1)
+    older = np.take_along_axis(sums, np.broadcast_to(ends - windows, y.shape), axis=-1)
+    return y[..., :1] + (sums[..., ends] - older) / windows
 
 
 def fixed_window_sweep(y: np.ndarray, w: int) -> WindowSweep:
-    """Mean of the min(w, t) most recent observations of every prefix y[:t]."""
+    """Mean of the min(w, t) most recent observations of every prefix y[:t]
+    of a series, or of each row of a (B, T) stack."""
     y = _series(y)
     _require_integer_window(w)
     if w < 1:
         raise BadWindow(f"window {w} must be at least 1")
-    windows = np.minimum(np.arange(1, len(y) + 1), w)
-    return WindowSweep(_window_means(y, _centered_sums(y), windows), windows)
+    windows = np.broadcast_to(np.minimum(np.arange(1, y.shape[-1] + 1), w), y.shape)
+    return WindowSweep(_window_means(y, _cumsum0(y - y[..., :1]), windows), windows)
 
 
 def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
-    """``adaptive_window_mean`` of every prefix y[:t], in one sweep.
+    """``adaptive_window_mean`` of every prefix y[:t], in one sweep, of a
+    series or of each row of a (B, T) stack.
 
     ``sigma`` is one noise scale for all prefixes or an array holding one
-    per prefix.  Every doubling level r = 1, 2, 4, ... is tested for every
-    prefix at once, as one (levels x prefixes) array per quantity, a block
-    of prefixes at a time so that each array stays within
-    ``_SCRATCH_BYTES``; a prefix keeps the window of the first level whose
-    test fails, falls inside the band below, or has 2r > t.  A test margin
-    |lhs - rhs| inside the band that bounds the rounding error of both the
-    sweep's and the scalar scan's arithmetic sends that prefix to
-    ``adaptive_window_mean``.
+    per prefix: (T,) for every row alike, or (B, T).  Every doubling level
+    r = 1, 2, 4, ... is tested for every prefix at once, as one (B x levels
+    x prefixes) array per quantity, a block of prefixes at a time so that
+    each array stays within ``_SCRATCH_BYTES``; a prefix keeps the window of
+    the first level whose test fails, falls inside the band below, or has
+    2r > t.  A test margin |lhs - rhs| inside the band that bounds the
+    rounding error of both the sweep's and the scalar scan's arithmetic
+    sends that prefix to ``adaptive_window_mean``.  Every step is
+    elementwise along the rows, so each row's sweep is bit-identical to a
+    call with that row alone; ``rechecked`` is then one count per row.
     """
     y = _series(y)
-    T = len(y)
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (T,))
+    Y = y.reshape(-1, y.shape[-1])
+    B, T = Y.shape
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), y.shape).reshape(Y.shape)
     _require_finite_params(sigma=sigma, delta=delta)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not np.all(sigma >= 0):
         raise ValueError(f"sigma must be nonnegative, got {sigma[~(sigma >= 0)][0]}")
 
-    sums = _centered_sums(y)
+    centered = Y - Y[:, :1]
+    sums = _cumsum0(centered)
     # Rounding bounds in units of eps: the cumulative sum of y - y[0] errs by
     # at most sum_j |partial sum j| + sum_i |y_i - y[0]|, np.mean over a
     # window by at most sum |y| there, and numpy's logs differ from math's
     # by a few ulps of the threshold; the band is 8 times their total.
-    sums_err = np.cumsum(np.abs(sums)) + np.concatenate(([0.0], np.cumsum(np.abs(y - y[0]))))
-    abs_y = np.concatenate(([0.0], np.cumsum(np.abs(y))))
+    sums_err = np.cumsum(np.abs(sums), axis=-1) + _cumsum0(np.abs(centered))
+    abs_y = _cumsum0(np.abs(Y))
     ends = np.arange(1, T + 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 1 never tests
         deviation = sigma * np.sqrt(2.0 * np.log(2.0 * np.log2(ends) / delta))
 
-    windows = np.ones(T, dtype=np.int64)
-    rechecked = np.zeros(T, dtype=bool)
+    windows = np.ones(Y.shape, dtype=np.int64)
+    rechecked = np.zeros(Y.shape, dtype=bool)
     levels = T.bit_length() - 1  # r = 1, 2, ..., 2**(levels - 1): every r with 2r <= T
     r = (1 << np.arange(levels))[:, None]
     root_r = np.sqrt(r)
-    width = max(1, _SCRATCH_BYTES // (8 * max(levels, 1)))
+    width = max(1, _SCRATCH_BYTES // (8 * max(levels, 1) * B))
     for start in range(2, T + 1, width):
         t = np.arange(start, min(start + width, T + 1))
         # where 2r > t the indices wrap to the end of the sums; those
         # entries are never read as a decision
         older = t - 2 * r
-        mean_r = (sums[t] - sums[t - r]) / r
-        mean_2r = (sums[t] - sums[older]) / (2 * r)
-        rhs = ADAPTIVE_TEST_CONSTANT * deviation[t - 1] / root_r
-        margin = np.abs(mean_r - mean_2r) - rhs
-        band = 8.0 * _EPS * (sums_err[t] / r + abs_y[t] - abs_y[older] + 2.0 * rhs)
+        # margin = |(s_t - s_{t-r}) / r - (s_t - s_{t-2r}) / 2r| - rhs and
+        # band = 8 eps (err_t / r + |y|_t - |y|_{t-2r} + 2 rhs), each step
+        # written over its first operand so few (B x levels x prefixes)
+        # arrays are alive at once
+        new_sums = sums[:, None, t]
+        margin = new_sums - sums[:, t - r]
+        margin /= r
+        mean_2r = new_sums - sums[:, older]
+        mean_2r /= 2 * r
+        margin -= mean_2r
+        del mean_2r
+        np.abs(margin, out=margin)
+        rhs = ADAPTIVE_TEST_CONSTANT * deviation[:, None, t - 1] / root_r
+        margin -= rhs
+        band = sums_err[:, None, t] / r
+        band += abs_y[:, None, t]
+        band -= abs_y[:, older]
+        rhs *= 2.0
+        band += rhs
+        band *= 8.0 * _EPS
         tested = older >= 0
         unsure = (np.abs(margin) <= band) & tested
         # each prefix stops at its first unsure, failed or untested level;
         # the last row stands for passing every level
-        stop = np.ones((levels + 1, len(t)), dtype=bool)
-        stop[:-1] = unsure | ~(margin <= 0.0) | ~tested
-        first = stop.argmax(axis=0)
-        windows[t - 1] = 1 << first
-        rechecked[t - 1] = (first < levels) & unsure[np.minimum(first, levels - 1), np.arange(len(t))]
+        stop = np.ones((B, levels + 1, len(t)), dtype=bool)
+        stop[:, :-1] = unsure | ~(margin <= 0.0) | ~tested
+        first = stop.argmax(axis=1)
+        windows[:, t - 1] = 1 << first
+        at_first = np.take_along_axis(unsure, np.minimum(first, levels - 1)[:, None, :], axis=1)[:, 0]
+        rechecked[:, t - 1] = (first < levels) & at_first
 
-    values = _window_means(y, sums, windows)
-    for t in np.flatnonzero(rechecked) + 1:
-        ref = adaptive_window_mean(y[:t], float(sigma[t - 1]), delta)
-        values[t - 1], windows[t - 1] = ref.value, ref.window
-    return WindowSweep(values, windows, int(rechecked.sum()))
+    values = _window_means(Y, sums, windows)
+    for b, i in np.argwhere(rechecked):
+        ref = adaptive_window_mean(Y[b, : i + 1], float(sigma[b, i]), delta)
+        values[b, i], windows[b, i] = ref.value, ref.window
+    counts = rechecked.sum(axis=-1)
+    return WindowSweep(
+        values.reshape(y.shape), windows.reshape(y.shape), int(counts[0]) if y.ndim == 1 else counts
+    )

@@ -5,7 +5,9 @@ time t each method estimates the current ground-truth value from the
 observation prefix y[1..t] (current point included), and the squared errors
 are averaged over all time-points.  Trials are independently seeded
 (``base_seed + trial``) and reduced in trial order, so reports are
-bit-identical across runs.
+bit-identical across runs.  A method that declares ``stacked`` estimates
+the trials of one noise level as one (trials, T) stack, each row exactly
+as it would alone; any other method is called once per trial.
 """
 
 from __future__ import annotations
@@ -140,7 +142,13 @@ class NoiseSpec:
 
 # --- methods -----------------------------------------------------------------
 # A method exposes `name` and `prefix_estimates(y, known_sigma, delta)`
-# returning one latest-value estimate per observation prefix.
+# returning one latest-value estimate per observation prefix of the series y.
+# A method that also declares `stacked = True` takes a (B, T) stack of
+# equally long series as y and returns the (B, T) estimates, row b's equal to
+# a call with y[b] alone; the harnesses hand such a method all the trials of
+# one noise level or horizon in one call (`prefix_rows`).  Any other method
+# (a CSV replay, a user's method, a wrapper that does not forward
+# `stacked`) is called once per row.
 
 
 class WaveletMethod:
@@ -148,6 +156,7 @@ class WaveletMethod:
     under the reflect boundary."""
 
     boundary = "reflect"
+    stacked = True
 
     def __init__(self, family: str, sigma_mode: str = "known", name: str | None = None):
         if sigma_mode not in ("known", "mad"):
@@ -167,6 +176,8 @@ class AdaptiveWindowMethod:
     """Doubling-window mean of every prefix; the ``proxy`` sigma of prefix
     y[:t] is half its observed range (``range_sigma_proxy``)."""
 
+    stacked = True
+
     def __init__(self, sigma_mode: str = "known", name: str | None = None):
         if sigma_mode not in ("known", "proxy"):
             raise ValueError(f"sigma_mode must be 'known' or 'proxy', got {sigma_mode!r}")
@@ -177,12 +188,14 @@ class AdaptiveWindowMethod:
         sigma = known_sigma
         if self.sigma_mode == "proxy":
             y = np.asarray(y, dtype=np.float64)
-            sigma = (np.maximum.accumulate(y) - np.minimum.accumulate(y)) / 2.0
+            sigma = (np.maximum.accumulate(y, axis=-1) - np.minimum.accumulate(y, axis=-1)) / 2.0
         return adaptive_window_sweep(y, sigma, delta).values
 
 
 class FixedWindowMethod:
     """Mean of the w most recent observations (all of them while t < w)."""
+
+    stacked = True
 
     def __init__(self, window: int, name: str | None = None):
         _require_count("window", window)
@@ -197,9 +210,19 @@ class PassthroughMethod:
     """Latest observation as-is; MSE equals the raw noise variance."""
 
     name = "passthrough"
+    stacked = True
 
     def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
         return np.array(y, dtype=np.float64)
+
+
+def prefix_rows(method, Y: np.ndarray, known_sigma: float, delta: float):
+    """The prefix estimates of each row of the (B, T) stack Y, indexable by
+    row: one call with the whole stack for a method that declares
+    ``stacked``, else one call per row, in row order."""
+    if getattr(method, "stacked", False):
+        return method.prefix_estimates(Y, known_sigma, delta)
+    return [method.prefix_estimates(y, known_sigma, delta) for y in Y]
 
 
 class CsvReplayMethod:
@@ -342,7 +365,9 @@ def run_online_eval(
     is shared across trials), then for each noise level draw one noisy
     sequence and let every method estimate theta_t from y[1..t] for all t.
     The MSE is averaged over all time-points; mean and standard deviation
-    are taken across trials.
+    are taken across trials.  All draws are made first, trial by trial as
+    listed; then each method sees the trials of one noise level as one
+    (trials, T) stack (:func:`prefix_rows`).
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -355,21 +380,27 @@ def run_online_eval(
     if not (signal.stochastic and signal.resample_per_trial):
         fixed_theta = generate_signal(signal, np.random.default_rng((base_seed, 1)))
 
-    def one_trial(trial: int) -> np.ndarray:
+    # every draw first, in the order of one trial at a time: the truth, then
+    # each level's noise
+    T, levels = signal.n_points, noise.levels
+    theta = np.empty((trials, T))
+    y = np.empty((len(levels), trials, T))
+    for trial in range(trials):
         rng = np.random.default_rng(base_seed + trial)
-        theta = fixed_theta if fixed_theta is not None else generate_signal(signal, rng)
-        out = np.empty((len(noise.levels), len(methods)))
-        for li, level in enumerate(noise.levels):
-            y = theta + noise.sample(rng, level, signal.n_points)
-            sigma = noise.known_sigma(level)
-            for mi, method in enumerate(methods):
-                est = method.prefix_estimates(y, sigma, delta)
-                out[li, mi] = float(np.mean((est - theta) ** 2))
-        return out
+        theta[trial] = fixed_theta if fixed_theta is not None else generate_signal(signal, rng)
+        for li, level in enumerate(levels):
+            y[li, trial] = theta[trial] + noise.sample(rng, level, T)
 
-    stacked = np.stack([one_trial(k) for k in range(trials)])
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
+    mse = np.empty((trials, len(levels), len(methods)))
+    for li, level in enumerate(levels):
+        sigma = noise.known_sigma(level)
+        for mi, method in enumerate(methods):
+            est = prefix_rows(method, y[li], sigma, delta)
+            for trial in range(trials):
+                mse[trial, li, mi] = float(np.mean((est[trial] - theta[trial]) ** 2))
+
+    mean = mse.mean(axis=0)
+    std = mse.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
     return RiskReport(names, tuple(noise.levels), mean, std, trials, base_seed)
 
 

@@ -158,9 +158,12 @@ def reflect_fold(window: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(y: np.ndarray) -> None:
+    """NonFiniteValue naming the first NaN or infinite observation of a
+    series, or of a (B, T) stack of series with its row."""
     if not np.all(np.isfinite(y)):
-        bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise NonFiniteValue(f"observation {bad} is {float(y[bad])}; need finite values")
+        bad = np.argwhere(~np.isfinite(y))[0]
+        where = f"row {bad[0]} observation {bad[1]}" if y.ndim == 2 else f"observation {bad[0]}"
+        raise NonFiniteValue(f"{where} is {float(y[tuple(bad)])}; need finite values")
 
 
 def _require_finite_output(values, name) -> None:
@@ -248,12 +251,12 @@ def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
 def _noise_scale(cfg: DenoiseConfig, n_vec: int, mad):
     """Noise scale of windows under a transform of length n_vec: the known
     sigma as a float, or ``mad()`` (their MAD noise scales, one per window,
-    computed only here) as a column.  With a lambda override a window too
-    short for MAD reports 0."""
+    and per row of a stack, computed only here) as a column.  With a lambda
+    override a window too short for MAD reports 0."""
     if not isinstance(cfg.sigma, str):
         return float(cfg.sigma)
     if n_vec >= 4:
-        return mad()[:, None]
+        return mad()[..., None]
     if cfg.lambda_override is not None:
         return 0.0
     raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
@@ -300,7 +303,8 @@ def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     that overflows, raise :class:`NonFiniteValue`.
     """
     window = _window(y)
-    values, lam, sigma = _estimate_rows(window[None, :], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        values, lam, sigma = _estimate_rows(window[None, :], cfg)
     lam, sigma = float(np.ravel(lam)[0]), float(np.ravel(sigma)[0])
     est = Estimate(float(values[0]), lam, sigma, len(window))
     _require_finite_output([est.value, lam, sigma], lambda i: repr(est))
@@ -314,11 +318,12 @@ def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     n_used = len(window)
     vec = reflect_fold(window) if cfg.boundary == "reflect" else window
     family = get_family(cfg.family)
-    beta = pyramid_analysis(family, vec)
-    finest = beta[None, len(vec) // 2 :]
-    lam = _threshold(cfg, n_used, lambda: _noise_scale(cfg, len(vec), lambda: _mad_rows(finest)))
-    shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
-    values = pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        beta = pyramid_analysis(family, vec)
+        finest = beta[None, len(vec) // 2 :]
+        lam = _threshold(cfg, n_used, lambda: _noise_scale(cfg, len(vec), lambda: _mad_rows(finest)))
+        shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
+        values = pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
     _require_finite_output(values, lambda i: f"denoised value {i}")
     return values
 

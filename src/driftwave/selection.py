@@ -142,11 +142,11 @@ def select(
         raise NonFiniteValue(f"model {ids[int(np.argmin(finite))]!r} has a NaN or infinite loss")
     if losses.shape[1] < 2:
         raise TooShort(f"need at least 2 observations, got {losses.shape[1]}")
-    denoised, lam, _ = _estimate_rows(dyadic_truncate(losses), cfg)
-    # an infinite threshold (an overflowed MAD sigma) zeroes a finite estimate
-    _require_finite_output(
-        denoised + 0.0 * np.ravel(lam), lambda i: f"the denoised loss of model {ids[i]!r}"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        denoised, lam, _ = _estimate_rows(dyadic_truncate(losses), cfg)
+        # an infinite threshold (an overflowed MAD sigma) zeroes a finite estimate
+        overflowed = denoised + 0.0 * np.ravel(lam)
+    _require_finite_output(overflowed, lambda i: f"the denoised loss of model {ids[i]!r}")
     if clamp:
         denoised = np.clip(denoised, losses.min(axis=1), losses.max(axis=1))
     model_ids = _shared_ids(tuple(ids))

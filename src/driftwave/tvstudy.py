@@ -3,7 +3,9 @@
 Ground truths are drawn from a bounded-total-variation class, Gaussian noise
 is added, and the chosen estimator produces one estimate per prefix.  Summed
 risks are averaged over trials per horizon and a log-log line is fitted to
-expose the empirical scaling exponent.
+expose the empirical scaling exponent.  The trials of one horizon reach the
+estimator as one (trials, n) stack when it declares ``stacked``
+(:func:`driftwave.bench.prefix_rows`), one series at a time otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import Table, _piecewise_constant_tv, make_method
+from .bench import Table, _piecewise_constant_tv, make_method, prefix_rows
 from .denoise import _require_count, _require_finite_params, _require_sigma_delta
 from .errors import LengthMismatch
 
@@ -98,15 +100,16 @@ def run_tv_study(spec: TVStudySpec, base_seed: int) -> ScalingFit:
     estimator = make_method(dict(spec.estimator))
     grid = tuple(spec.n_grid)
 
-    def one(n: int, trial: int) -> tuple[float, float]:
-        rng = np.random.default_rng([base_seed, n, trial])
-        theta = _piecewise_constant_tv(n, spec.tv_radius, rng)
-        y = theta + rng.normal(0.0, spec.sigma, n)
-        est = estimator.prefix_estimates(y, spec.sigma, spec.delta)
-        return risk(est, theta, "sq"), risk(est, theta, "abs")
-
-    results = [one(n, trial) for n in grid for trial in range(spec.trials)]
-    per_n = np.array(results, dtype=np.float64).reshape(len(grid), spec.trials, 2)
+    per_n = np.empty((len(grid), spec.trials, 2))
+    for i, n in enumerate(grid):
+        theta, y = np.empty((spec.trials, n)), np.empty((spec.trials, n))
+        for trial in range(spec.trials):
+            rng = np.random.default_rng([base_seed, n, trial])
+            theta[trial] = _piecewise_constant_tv(n, spec.tv_radius, rng)
+            y[trial] = theta[trial] + rng.normal(0.0, spec.sigma, n)
+        est = prefix_rows(estimator, y, spec.sigma, spec.delta)
+        for trial in range(spec.trials):
+            per_n[i, trial] = risk(est[trial], theta[trial], "sq"), risk(est[trial], theta[trial], "abs")
     mean = per_n.mean(axis=1)
     std = per_n.std(axis=1, ddof=1) if spec.trials > 1 else np.zeros_like(mean)
     exp_sq, int_sq = _fit_loglog(np.array(grid, dtype=float), mean[:, 0])

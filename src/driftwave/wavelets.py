@@ -424,48 +424,56 @@ class SupportBasis:
         return (windows[..., None, :] @ self.rows.T)[..., 0, :]
 
     def sliding(self, y: np.ndarray, count: int) -> np.ndarray:
-        """:meth:`coefficients` of the ``count`` consecutive windows of y,
-        ``y[j : j + m]`` for j = 0 .. count - 1, where 1 <= count <= m.
+        """:meth:`coefficients` of the ``count`` consecutive windows
+        ``y[..., j : j + m]``, j = 0 .. count - 1, of each series along the
+        last axis of y, where 1 <= count <= m: shape (..., count, |S|).
 
-        One FFT correlation of y with every support row instead of a product
-        with the stacked windows.  With c the power of two >= count (at
-        least 16, at most m), the rows are cut into m/c blocks of c samples;
-        each block meets its stretch of y in an FFT of length 2c and the
-        block spectra are summed (uniformly partitioned correlation), so the
-        cost is O(|S| (m + c log c)): O(|S| m log m) for a full level,
-        O(|S| m) for a single window.  The block spectra of the rows are
-        computed on first use and kept on the basis.  With one block, the
-        spectra x segment product and the lags go to this thread's scratch
-        (:func:`_scratch`); the coefficients returned are a new array.
+        One FFT correlation of each series with every support row instead of
+        a product with the stacked windows.  With c the power of two >=
+        count (at least 16, at most m), the rows are cut into m/c blocks of
+        c samples; each block meets its stretch of y in an FFT of length 2c
+        and the block spectra are summed (uniformly partitioned
+        correlation), so the cost is O(|S| (m + c log c)) per series:
+        O(|S| m log m) for a full level, O(|S| m) for a single window.  The
+        block spectra of the rows are computed on first use and kept on the
+        basis.  Every FFT and product transforms each series on its own, so
+        a series' coefficients do not depend on the series stacked with it.
+        With one block, the spectra x segment product, the lags and then
+        the coefficients go to this thread's scratch (:func:`_scratch`):
+        the coefficients returned are a view of slot 0, valid until slot 0
+        is next requested; with several blocks they are a new array.
         """
         m = self.rows.shape[1]
-        if not 1 <= count <= m or len(y) < count + m - 1:
+        if not 1 <= count <= m or y.shape[-1] < count + m - 1:
             raise LengthMismatch(
                 f"{count} windows of length {m} need 1 <= count <= {m} and "
-                f"{count + m - 1} samples, got {len(y)}"
+                f"{count + m - 1} samples, got {y.shape[-1]}"
             )
         # blocks shorter than 16 saved no time on a single window of 256 to
         # 8192 samples; they only enlarge the kept spectra, 2 (c + 1) / c
         # times the rows
         c = min(m, 1 << max(4, (count - 1).bit_length()))
         spectra = self._block_spectra(c)
+        lead = y.shape[:-1]
         if c == m:  # one block: the plain correlation
-            segment = np.fft.rfft(y[: count + m - 1], 2 * m)
-            product = np.multiply(spectra, segment, out=_scratch(0, spectra.shape, np.complex128))
-            lags = np.fft.irfft(product, 2 * m, out=_scratch(1, (len(spectra), 2 * m)))
+            segment = np.fft.rfft(y[..., : count + m - 1], 2 * m)
+            product = _scratch(0, lead + spectra.shape, np.complex128)
+            np.multiply(spectra, segment[..., None, :], out=product)
+            lags = np.fft.irfft(product, 2 * m, out=_scratch(1, lead + (len(spectra), 2 * m)))
             # a product too large for the scratch is freed before the copy
             # is allocated, so the copy can reuse its memory (holding both
             # raised the T = 4096 horizon's peak RSS by ~10 MB)
             del product
-            # copy out the lags used: the scratch is rewritten by the next call
-            return lags[:, :count].T.copy()
+            coeffs = _scratch(0, lead + (count, len(spectra)))
+            np.copyto(coeffs, np.swapaxes(lags[..., :count], -1, -2))
+            return coeffs
         # row block b meets y[b c : b c + 2c], zero past the last sample read
-        padded = np.zeros(m + c)
-        padded[: count + m - 1] = y[: count + m - 1]
-        blocks = padded.reshape(-1, c)
-        segments = np.fft.rfft(np.concatenate([blocks[:-1], blocks[1:]], axis=1))
-        product = (spectra @ segments.T[:, :, None])[..., 0]
-        return np.fft.irfft(product, 2 * c, axis=0)[:count]
+        padded = np.zeros(lead + (m + c,))
+        padded[..., : count + m - 1] = y[..., : count + m - 1]
+        blocks = padded.reshape(lead + (-1, c))
+        segments = np.fft.rfft(np.concatenate([blocks[..., :-1, :], blocks[..., 1:, :]], axis=-1))
+        product = (spectra @ np.swapaxes(segments, -1, -2)[..., None])[..., 0]
+        return np.fft.irfft(product, 2 * c, axis=-2)[..., :count, :]
 
     def _block_spectra(self, c: int) -> np.ndarray:
         """conj(rfft) of each length-c block of each row, zero-padded to 2c:
@@ -493,8 +501,9 @@ class SupportBasis:
 
 def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndarray:
     """Finest-level detail coefficients (the last n/2 of a transform of
-    length n) of each window along the last axis, arranged per ``boundary``
-    (the reflect fold, or the window itself under periodic).
+    length n) of each window along the last axis, any leading axes kept,
+    arranged per ``boundary`` (the reflect fold, or the window itself under
+    periodic).
 
     The periodized vector (the reflect fold or the window itself) and its
     wrap, L - 2 samples for L taps (several periods when the filter is
@@ -508,7 +517,7 @@ def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndar
     w = windows.shape[-1]
     fold = boundary == "reflect"
     m = 2 * w if fold else w
-    buf = np.empty((m + len(g) - 2,) + windows.shape[:-1])
+    buf = np.empty((m + len(g) - 2,) + windows.shape[-2::-1])
     ext = buf.T
     if fold:
         ext[..., :w] = windows[..., ::-1]

@@ -241,6 +241,65 @@ class TestAdaptiveWindowSweep:
             adaptive_window_sweep(np.array([0.1] * 7 + [bad]), 0.3, 0.1)
 
 
+class TestStackedSweeps:
+    """A (B, T) stack is swept as B series, each row bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600),
+        kinds=st.lists(series_kinds, min_size=1, max_size=7),
+        sigma=st.one_of(known_sigmas, st.sampled_from(["per-prefix", "per-row-prefix"])),
+        delta=st.sampled_from([0.05, 0.1, 0.3]),
+    )
+    def test_adaptive_rows_match_single_series(self, seed, T, kinds, sigma, delta):
+        Y = np.array([sweep_series(kind, seed + i, T) for i, kind in enumerate(kinds)])
+        rng = np.random.default_rng(seed)
+        # zeros among the per-prefix scales, whose prefixes are rechecked
+        if sigma == "per-prefix":
+            sigma = rng.choice([0.0, 0.05, 0.3, 1.0], T)
+        elif sigma == "per-row-prefix":
+            sigma = rng.choice([0.0, 0.05, 0.3, 1.0], Y.shape)
+        stacked = adaptive_window_sweep(Y, sigma, delta)
+        assert stacked.values.shape == stacked.windows.shape == Y.shape
+        for b, y in enumerate(Y):
+            alone = adaptive_window_sweep(y, sigma[b] if np.ndim(sigma) == 2 else sigma, delta)
+            assert stacked.values[b].tobytes() == alone.values.tobytes()
+            assert stacked.windows[b].tobytes() == alone.windows.tobytes()
+            assert stacked.rechecked[b] == alone.rechecked
+
+    def test_zero_sigma_constant_rows_all_rechecked(self):
+        Y = np.array([np.full(100, 0.1), np.full(100, -3.0), np.zeros(100)])
+        stacked = adaptive_window_sweep(Y, 0.0, 0.1)
+        assert stacked.rechecked.tolist() == [99, 99, 99]
+        for b, y in enumerate(Y):
+            assert stacked.values[b].tobytes() == adaptive_window_sweep(y, 0.0, 0.1).values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600),
+        kinds=st.lists(series_kinds, min_size=1, max_size=7), w=st.integers(1, 70),
+    )
+    def test_fixed_rows_match_single_series(self, seed, T, kinds, w):
+        Y = np.array([sweep_series(kind, seed + i, T) for i, kind in enumerate(kinds)])
+        stacked = fixed_window_sweep(Y, w)
+        for b, y in enumerate(Y):
+            assert stacked.values[b].tobytes() == fixed_window_sweep(y, w).values.tobytes()
+
+    def test_nan_names_the_row(self):
+        Y = np.zeros((2, 8))
+        Y[1, 3] = math.inf
+        for sweep in (lambda: adaptive_window_sweep(Y, 0.3, 0.1), lambda: fixed_window_sweep(Y, 2)):
+            with pytest.raises(NonFiniteValue, match="^row 1 observation 3 is inf"):
+                sweep()
+
+    def test_empty_or_deep_stack_refused(self):
+        for y in (np.empty((0, 4)), np.empty((2, 0)), np.ones((2, 2, 2))):
+            with pytest.raises(BadWindow):
+                adaptive_window_sweep(y, 0.3, 0.1)
+            with pytest.raises(BadWindow):
+                fixed_window_sweep(y, 2)
+
+
 class TestFixedWindowSweep:
     @settings(max_examples=60, deadline=None)
     @given(

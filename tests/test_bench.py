@@ -18,6 +18,7 @@ from driftwave.bench import (
     generate_signal,
     load_estimates_csv,
     make_method,
+    prefix_rows,
     run_online_eval,
     table_text,
 )
@@ -191,6 +192,72 @@ class TestOnlineEval:
         assert len(rows) == 4
         mean, std = report.mse("window4", 0.2)
         assert any(r == ("window4", 0.2, mean, std) for r in rows)
+
+
+class Forwarding:
+    """A method wrapper that forwards calls but not ``stacked``, as a timing
+    or recording wrapper would: the harness calls it once per series."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.calls = inner, inner.name, []
+
+    def prefix_estimates(self, y, known_sigma, delta):
+        self.calls.append(np.shape(y))
+        return self.inner.prefix_estimates(y, known_sigma, delta)
+
+
+def stacked_methods():
+    return [WaveletMethod("db8"), WaveletMethod("haar"), WaveletMethod("db4", "mad"),
+            AdaptiveWindowMethod(), AdaptiveWindowMethod("proxy"), FixedWindowMethod(16),
+            PassthroughMethod()]
+
+
+class TestStackedTrials:
+    """Stacked methods see the trials of a noise level as one (trials, T)
+    stack; the report's bytes are those of one call per trial."""
+
+    @pytest.mark.parametrize("signal", [SignalSpec("doppler", 300), SignalSpec("random_coin", 257)],
+                             ids=["doppler", "random_coin"])
+    def test_report_bytes_match_per_series_calls(self, signal):
+        noise = NoiseSpec("uniform", (0.2, 0.5, 1.0))
+        stacked = run_online_eval(signal, noise, stacked_methods(), trials=4, base_seed=3)
+        wrapped = [Forwarding(m) for m in stacked_methods()]
+        per_series = run_online_eval(signal, noise, wrapped, trials=4, base_seed=3)
+        assert per_series.to_csv() == stacked.to_csv()
+        assert wrapped[0].calls == [(signal.n_points,)] * (3 * 4)
+
+    def test_draws_are_those_of_one_trial_at_a_time(self):
+        # one rng per trial, seeded base_seed + trial: the truth, then each
+        # level's noise in level order
+        signal, noise = SignalSpec("random_coin", 100), NoiseSpec("gaussian", (0.3, 0.6))
+        method = WaveletMethod("haar")
+        want = np.empty((3, 2))
+        for trial in range(3):
+            rng = np.random.default_rng(8 + trial)
+            theta = generate_signal(signal, rng)
+            for li, level in enumerate(noise.levels):
+                est = method.prefix_estimates(theta + noise.sample(rng, level, 100), level, 0.1)
+                want[trial, li] = float(np.mean((est - theta) ** 2))
+        report = run_online_eval(signal, noise, [method], trials=3, base_seed=8)
+        assert report.mean_mse[:, 0].tobytes() == want.mean(axis=0).tobytes()
+        assert report.std_mse[:, 0].tobytes() == want.std(axis=0, ddof=1).tobytes()
+
+    def test_stacked_method_called_once_per_level(self, monkeypatch):
+        shapes = []
+        inner = WaveletMethod.prefix_estimates
+        monkeypatch.setattr(WaveletMethod, "prefix_estimates",
+                            lambda self, y, s, d: shapes.append(y.shape) or inner(self, y, s, d))
+        run_online_eval(SignalSpec("sine", 40), NoiseSpec("uniform", (0.1, 0.2)),
+                        [WaveletMethod("haar")], trials=3, base_seed=0)
+        assert shapes == [(3, 40), (3, 40)]
+
+    def test_prefix_rows(self):
+        Y = np.arange(12.0).reshape(3, 4)
+        assert prefix_rows(PassthroughMethod(), Y, 0.1, 0.1).tobytes() == Y.tobytes()
+        wrapped = Forwarding(PassthroughMethod())
+        rows = prefix_rows(wrapped, Y, 0.1, 0.1)
+        assert wrapped.calls == [(4,)] * 3
+        assert np.array(rows).tobytes() == Y.tobytes()
 
 
 class TestCsvReplay:

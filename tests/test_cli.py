@@ -131,6 +131,19 @@ class TestEstimate:
         assert abs(json.loads(proc.stdout)["value"] - 1.5) < 1e-9
 
 
+@pytest.mark.parametrize("command", ["estimate", "denoise"])
+def test_overflow_is_one_line_input_error(tmp_path, command):
+    """An overflow inside the transform prints no numpy warning before the
+    CLI's one error line."""
+    path = tmp_path / "big.txt"
+    path.write_text("1e308\n" * 8)
+    proc = run_cli(command, str(path), "--family", "db4")
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: input error: ")
+    assert "overflow float64" in proc.stderr
+
+
 class TestDenoise:
     def test_csv_output_aligned(self, tmp_path):
         path = tmp_path / "series.txt"

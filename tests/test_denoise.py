@@ -183,7 +183,7 @@ class TestEstimateLatest:
         ([1e308, -1e308] * 4, DenoiseConfig(sigma="mad", boundary="periodic")),
     ], ids=["value", "sigma"])
     def test_overflow_raises(self, y, cfg):
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
             estimate_latest(np.array(y), cfg)
 
 
@@ -215,7 +215,7 @@ class TestDenoiseSignal:
             denoise_signal(y, DenoiseConfig(sigma="mad"))
 
     def test_overflow_raises(self):
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
             denoise_signal(np.full(8, 1e308), DenoiseConfig(family="db4", sigma=0.3))
 
 

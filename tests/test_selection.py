@@ -73,7 +73,7 @@ class TestSelect:
     ], ids=["neg-inf", "nan", "inf-threshold"])
     def test_overflowing_model_is_named_not_chosen(self, losses, boundary):
         panel = panel_from({"b": [0.5] * 8, "a": losses, "c": [0.6] * 8})
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="model 'a'"):
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="model 'a'"):
             select(panel, DenoiseConfig(sigma="mad", boundary=boundary))
 
     def test_affine_invariance_mad_sigma(self):

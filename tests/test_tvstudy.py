@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from driftwave import tvstudy
 from driftwave.errors import LengthMismatch
 from driftwave.tvstudy import ScalingFit, TVStudySpec, risk, run_tv_study
 
@@ -120,6 +121,32 @@ class TestRunStudy:
             fits.append(float(run_tv_study(spec, base_seed=21).mean_sq[0]))
         assert fits[1] >= fits[0] * 0.95
         assert fits[2] >= fits[1] * 0.95
+
+    @pytest.mark.parametrize("estimator", [
+        {"kind": "wavelet", "family": "haar"},
+        {"kind": "wavelet", "family": "db4", "sigma": "mad"},
+        {"kind": "adaptive_window"},
+    ], ids=["haar", "db4_mad", "adaptive"])
+    def test_stacked_trials_match_per_series_calls(self, monkeypatch, estimator):
+        """The trials of a horizon reach a stacked estimator as one stack; a
+        wrapper without ``stacked`` is called once per trial, and the fit's
+        bytes are the same."""
+        spec = TVStudySpec(tv_radius=1.5, sigma=0.7, n_grid=(16, 64, 256), trials=5, estimator=estimator)
+        stacked = run_tv_study(spec, base_seed=4)
+        calls = []
+
+        class Forwarding:
+            def __init__(self, inner):
+                self.inner, self.name = inner, inner.name
+
+            def prefix_estimates(self, y, known_sigma, delta):
+                calls.append(len(y))
+                return self.inner.prefix_estimates(y, known_sigma, delta)
+
+        original = tvstudy.make_method
+        monkeypatch.setattr(tvstudy, "make_method", lambda spec: Forwarding(original(spec)))
+        assert run_tv_study(spec, base_seed=4).to_csv() == stacked.to_csv()
+        assert calls == [16] * 5 + [64] * 5 + [256] * 5
 
     def test_csv_format(self):
         spec = TVStudySpec(
