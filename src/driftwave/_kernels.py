@@ -24,12 +24,12 @@ with a fixed number of array operations: O(T log T) work for the sweep.  The
 other families' rows are not constant on dyadic blocks, so only Haar has
 this path.
 
-Both sweeps take a (B, T) stack of series too, so the harnesses sweep all
-the trials of one noise level or horizon in one call; a single series is
-the B = 1 case.  A level runs on a chunk of rows whose FFT product (or
-Haar table) fits ``_SCRATCH_BYTES``, in this thread's scratch.  Every step
-transforms, shrinks and reduces each row on its own, so a row's estimates
-are bit-identical to a call with that row alone.
+Both sweeps take a (B, T) stack of series too, so the harnesses sweep the
+trials of one noise level or horizon together; a single series is the
+B = 1 case.  A level runs on a chunk of rows whose FFT product (or Haar
+table) fits a quarter of ``_SCRATCH_BYTES``, in this thread's scratch.
+Every step transforms, shrinks and reduces each row on its own, so a row's
+estimates are bit-identical to a call with that row alone.
 
 :func:`prefix_estimates_reference` is the one-prefix-at-a-time contract the
 kernel is pinned to.
@@ -82,25 +82,29 @@ def _level_threshold(cfg: DenoiseConfig, Y, m: int, n: int, count: int):
 
 def _mad_sigma(cfg: DenoiseConfig, Y, m: int, count: int) -> np.ndarray:
     """MAD noise scale of each of the ``count`` windows Y[b, j : j + m] of
-    each row, (B, count), a block of windows at a time: a reflect fold of
-    16 m bytes per window keeps a block near ``_SCRATCH_BYTES`` at any
-    horizon (and in cache, which made 1 MiB faster than larger blocks on a
-    db8 sweep of T = 4096).  A row's windows are cut into blocks of ``per``
-    as for a single series, and blocks of several windows are stacked
-    across rows: their coefficients do not depend on the stack.  A block of
-    one window is not stacked, because the high-pass product of a single
-    window (Haar's two taps) goes through BLAS and rounds differently."""
+    each row, (B, count).  Each row is its own series, a block of windows
+    at a time: a reflect fold of 16 m bytes per window keeps a block near
+    ``_SCRATCH_BYTES`` at any horizon (and in cache, which made 1 MiB
+    faster than larger blocks on a db8 sweep of T = 4096)."""
     family = get_family(cfg.family)
-    windows = np.lib.stride_tricks.sliding_window_view(Y, m, axis=-1)[:, :count]
     per = max(1, _SCRATCH_BYTES // (16 * m))
-    sigma = np.empty(windows.shape[:2])
-    for j in range(0, count, per):
-        width = min(per, count - j)
-        rows = max(1, per // width) if width > 1 else 1
-        for b in range(0, len(Y), rows):
-            block = windows[b : b + rows, j : j + width]
-            sigma[b : b + rows, j : j + width] = _mad_rows(finest(family, block, cfg.boundary))
+    sigma = np.empty((len(Y), count))
+    for b, y in enumerate(Y):
+        windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
+        for j in range(0, count, per):
+            sigma[b, j : j + per] = _mad_rows(finest(family, windows[j : j + per], cfg.boundary))
     return sigma
+
+
+def _rows_per_chunk(row_bytes: int) -> int:
+    """Rows of a stack swept together when a level's largest array (the
+    FFT product, or the Haar table) takes ``row_bytes`` per row: as many as
+    fit in a quarter of ``_SCRATCH_BYTES``, at least one.  Stacking saves
+    the per-call cost of the small levels, which such a chunk already
+    spreads over many rows; chunks filling all of ``_SCRATCH_BYTES`` were
+    no faster on the benchmark's passes and only grew the kept buffers and
+    the peak RSS."""
+    return max(1, _SCRATCH_BYTES // (4 * row_bytes))
 
 
 def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
@@ -114,8 +118,8 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
     """out[b, t - 1] = the estimate from Y[b, :t] for a (B, T) stack, one
     dyadic window size at a time, thresholded by :func:`_level_threshold`.
 
-    Each level runs on a chunk of rows whose FFT product fits
-    ``_SCRATCH_BYTES`` (the lags and the coefficients are smaller), so the
+    Each level runs on a chunk of rows (:func:`_rows_per_chunk` of its FFT
+    product; the lags and the coefficients are smaller), so the
     correlation's buffers stay in this thread's scratch; each row's
     estimates are then its own (count, |S|) @ weights product, so a row's
     estimates do not depend on the rows stacked with it."""
@@ -127,7 +131,7 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
         if hi <= raw:
             continue
         basis = support_basis(cfg.family, m, cfg.boundary)
-        step = max(1, _SCRATCH_BYTES // (16 * len(basis.rows) * (m + 1)))
+        step = _rows_per_chunk(16 * len(basis.rows) * (m + 1))
         for b in range(0, len(Y), step):
             rows = Y[b : b + step]
             coeffs = basis.sliding(rows, hi - lo)
@@ -139,8 +143,8 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
 
 def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
     """:func:`_prefix_kernel` for Haar, every prefix in one pass over a table
-    of dyadic block sums, a chunk of rows whose table fits
-    ``_SCRATCH_BYTES`` at a time.
+    of dyadic block sums, a chunk of rows (:func:`_rows_per_chunk` of the
+    table) at a time.
 
     Row s - 1 of a series' ``details`` holds, at prefix index i, the
     older-half sum minus the newer-half sum of the 2**s samples ending at
@@ -160,7 +164,7 @@ def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
     _require_budget(f"the Haar sweep of {T} samples", 2 * levels * T * 8)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
     weight = np.zeros(T)
-    step = max(1, _SCRATCH_BYTES // (8 * max(levels, 1) * T))
+    step = _rows_per_chunk(8 * max(levels, 1) * T)
     for b in range(0, len(Y), step):
         rows = Y[b : b + step]
         details = _scratch(0, (len(rows), levels, T))

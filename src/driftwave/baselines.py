@@ -146,7 +146,7 @@ def fixed_window_sweep(y: np.ndarray, w: int) -> WindowSweep:
     _require_integer_window(w)
     if w < 1:
         raise BadWindow(f"window {w} must be at least 1")
-    windows = np.broadcast_to(np.minimum(np.arange(1, y.shape[-1] + 1), w), y.shape)
+    windows = np.broadcast_to(np.minimum(np.arange(1, y.shape[-1] + 1), w), y.shape).copy()
     return WindowSweep(_window_means(y, _cumsum0(y - y[..., :1]), windows), windows)
 
 

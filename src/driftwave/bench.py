@@ -6,8 +6,9 @@ observation prefix y[1..t] (current point included), and the squared errors
 are averaged over all time-points.  Trials are independently seeded
 (``base_seed + trial``) and reduced in trial order, so reports are
 bit-identical across runs.  A method that declares ``stacked`` estimates
-the trials of one noise level as one (trials, T) stack, each row exactly
-as it would alone; any other method is called once per trial.
+the trials of one noise level as (trials, T) stacks, a bounded chunk of
+trials at a time, each row exactly as it would alone; any other method is
+called once per trial.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .baselines import adaptive_window_sweep, fixed_window_sweep
 from .denoise import (_require_count, _require_finite, _require_finite_params, _require_transform,
                       default_lambda)
 from .errors import LengthMismatch, NonFiniteValue, ParseError
-from .wavelets import support_basis
+from .wavelets import _SCRATCH_BYTES, support_basis
 
 SIGNAL_RANGE = 1.5  # all generated signals stay within [-1.5, 1.5]
 STOCHASTIC_KINDS = ("random_coin", "piecewise_constant")
@@ -225,6 +226,14 @@ def prefix_rows(method, Y: np.ndarray, known_sigma: float, delta: float):
     return [method.prefix_estimates(y, known_sigma, delta) for y in Y]
 
 
+def _trial_chunks(trials: int, T: int) -> list[range]:
+    """Trials 0 .. trials - 1 in consecutive chunks whose (chunk, T) stack
+    of floats fits ``_SCRATCH_BYTES`` (one trial at least), so a harness's
+    stacks, and the sweeps' temporaries, do not grow with the trial count."""
+    step = max(1, _SCRATCH_BYTES // (8 * T))
+    return [range(k, min(k + step, trials)) for k in range(0, trials, step)]
+
+
 class CsvReplayMethod:
     """Estimates imported from an external tool's CSV (columns t,estimate)."""
 
@@ -365,9 +374,10 @@ def run_online_eval(
     is shared across trials), then for each noise level draw one noisy
     sequence and let every method estimate theta_t from y[1..t] for all t.
     The MSE is averaged over all time-points; mean and standard deviation
-    are taken across trials.  All draws are made first, trial by trial as
-    listed; then each method sees the trials of one noise level as one
-    (trials, T) stack (:func:`prefix_rows`).
+    are taken across trials.  Each method sees the trials of one noise
+    level as (trials, T) stacks (:func:`prefix_rows`), a chunk of trials at
+    a time (:func:`_trial_chunks`).  Each trial keeps its own rng, which
+    draws as listed: the truth, then each level's noise in level order.
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -380,24 +390,21 @@ def run_online_eval(
     if not (signal.stochastic and signal.resample_per_trial):
         fixed_theta = generate_signal(signal, np.random.default_rng((base_seed, 1)))
 
-    # every draw first, in the order of one trial at a time: the truth, then
-    # each level's noise
     T, levels = signal.n_points, noise.levels
-    theta = np.empty((trials, T))
-    y = np.empty((len(levels), trials, T))
-    for trial in range(trials):
-        rng = np.random.default_rng(base_seed + trial)
-        theta[trial] = fixed_theta if fixed_theta is not None else generate_signal(signal, rng)
-        for li, level in enumerate(levels):
-            y[li, trial] = theta[trial] + noise.sample(rng, level, T)
-
     mse = np.empty((trials, len(levels), len(methods)))
-    for li, level in enumerate(levels):
-        sigma = noise.known_sigma(level)
-        for mi, method in enumerate(methods):
-            est = prefix_rows(method, y[li], sigma, delta)
-            for trial in range(trials):
-                mse[trial, li, mi] = float(np.mean((est[trial] - theta[trial]) ** 2))
+    for chunk in _trial_chunks(trials, T):
+        rngs = [np.random.default_rng(base_seed + trial) for trial in chunk]
+        theta, y = np.empty((len(chunk), T)), np.empty((len(chunk), T))
+        for row, rng in enumerate(rngs):
+            theta[row] = fixed_theta if fixed_theta is not None else generate_signal(signal, rng)
+        for li, level in enumerate(levels):
+            for row, rng in enumerate(rngs):
+                y[row] = theta[row] + noise.sample(rng, level, T)
+            sigma = noise.known_sigma(level)
+            for mi, method in enumerate(methods):
+                est = prefix_rows(method, y, sigma, delta)
+                for row, trial in enumerate(chunk):
+                    mse[trial, li, mi] = float(np.mean((est[row] - theta[row]) ** 2))
 
     mean = mse.mean(axis=0)
     std = mse.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)

@@ -4,8 +4,9 @@ Ground truths are drawn from a bounded-total-variation class, Gaussian noise
 is added, and the chosen estimator produces one estimate per prefix.  Summed
 risks are averaged over trials per horizon and a log-log line is fitted to
 expose the empirical scaling exponent.  The trials of one horizon reach the
-estimator as one (trials, n) stack when it declares ``stacked``
-(:func:`driftwave.bench.prefix_rows`), one series at a time otherwise.
+estimator as (trials, n) stacks, a bounded chunk of trials at a time, when
+it declares ``stacked`` (:func:`driftwave.bench.prefix_rows`), one series
+at a time otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import Table, _piecewise_constant_tv, make_method, prefix_rows
+from .bench import Table, _piecewise_constant_tv, _trial_chunks, make_method, prefix_rows
 from .denoise import _require_count, _require_finite_params, _require_sigma_delta
 from .errors import LengthMismatch
 
@@ -102,14 +103,15 @@ def run_tv_study(spec: TVStudySpec, base_seed: int) -> ScalingFit:
 
     per_n = np.empty((len(grid), spec.trials, 2))
     for i, n in enumerate(grid):
-        theta, y = np.empty((spec.trials, n)), np.empty((spec.trials, n))
-        for trial in range(spec.trials):
-            rng = np.random.default_rng([base_seed, n, trial])
-            theta[trial] = _piecewise_constant_tv(n, spec.tv_radius, rng)
-            y[trial] = theta[trial] + rng.normal(0.0, spec.sigma, n)
-        est = prefix_rows(estimator, y, spec.sigma, spec.delta)
-        for trial in range(spec.trials):
-            per_n[i, trial] = risk(est[trial], theta[trial], "sq"), risk(est[trial], theta[trial], "abs")
+        for chunk in _trial_chunks(spec.trials, n):
+            theta, y = np.empty((len(chunk), n)), np.empty((len(chunk), n))
+            for row, trial in enumerate(chunk):
+                rng = np.random.default_rng([base_seed, n, trial])
+                theta[row] = _piecewise_constant_tv(n, spec.tv_radius, rng)
+                y[row] = theta[row] + rng.normal(0.0, spec.sigma, n)
+            est = prefix_rows(estimator, y, spec.sigma, spec.delta)
+            for row, trial in enumerate(chunk):
+                per_n[i, trial] = risk(est[row], theta[row], "sq"), risk(est[row], theta[row], "abs")
     mean = per_n.mean(axis=1)
     std = per_n.std(axis=1, ddof=1) if spec.trials > 1 else np.zeros_like(mean)
     exp_sq, int_sq = _fit_loglog(np.array(grid, dtype=float), mean[:, 0])

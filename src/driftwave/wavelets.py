@@ -438,10 +438,9 @@ class SupportBasis:
         block spectra of the rows are computed on first use and kept on the
         basis.  Every FFT and product transforms each series on its own, so
         a series' coefficients do not depend on the series stacked with it.
-        With one block, the spectra x segment product, the lags and then
-        the coefficients go to this thread's scratch (:func:`_scratch`):
-        the coefficients returned are a view of slot 0, valid until slot 0
-        is next requested; with several blocks they are a new array.
+        With one block, the spectra x segment product and the lags go to
+        this thread's scratch (:func:`_scratch`); the coefficients returned
+        are a new array.
         """
         m = self.rows.shape[1]
         if not 1 <= count <= m or y.shape[-1] < count + m - 1:
@@ -464,9 +463,8 @@ class SupportBasis:
             # is allocated, so the copy can reuse its memory (holding both
             # raised the T = 4096 horizon's peak RSS by ~10 MB)
             del product
-            coeffs = _scratch(0, lead + (count, len(spectra)))
-            np.copyto(coeffs, np.swapaxes(lags[..., :count], -1, -2))
-            return coeffs
+            # copy out the lags used: the scratch is rewritten by the next call
+            return np.swapaxes(lags[..., :count], -1, -2).copy()
         # row block b meets y[b c : b c + 2c], zero past the last sample read
         padded = np.zeros(lead + (m + c,))
         padded[..., : count + m - 1] = y[..., : count + m - 1]

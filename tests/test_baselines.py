@@ -285,6 +285,12 @@ class TestStackedSweeps:
         for b, y in enumerate(Y):
             assert stacked.values[b].tobytes() == fixed_window_sweep(y, w).values.tobytes()
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 9)], ids=["series", "stack"])
+    def test_fixed_windows_are_a_writable_array(self, shape):
+        sweep = fixed_window_sweep(np.ones(shape), 4)
+        assert sweep.windows.flags.writeable and sweep.windows.flags.owndata
+        assert sweep.windows.tolist() == np.broadcast_to([1, 2, 3, 4, 4, 4, 4, 4, 4], shape).tolist()
+
     def test_nan_names_the_row(self):
         Y = np.zeros((2, 8))
         Y[1, 3] = math.inf

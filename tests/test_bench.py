@@ -1,11 +1,13 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftwave import bench
 from driftwave.bench import (
     AdaptiveWindowMethod,
     CsvReplayMethod,
@@ -250,6 +252,35 @@ class TestStackedTrials:
         run_online_eval(SignalSpec("sine", 40), NoiseSpec("uniform", (0.1, 0.2)),
                         [WaveletMethod("haar")], trials=3, base_seed=0)
         assert shapes == [(3, 40), (3, 40)]
+
+    def test_trials_are_stacked_in_bounded_chunks(self, monkeypatch):
+        signal, noise = SignalSpec("random_coin", 40), NoiseSpec("gaussian", (0.3, 0.6))
+        methods = [WaveletMethod("db4"), AdaptiveWindowMethod(), FixedWindowMethod(4)]
+        whole = run_online_eval(signal, noise, methods, trials=5, base_seed=2)
+        shapes = []
+        inner = WaveletMethod.prefix_estimates
+        monkeypatch.setattr(WaveletMethod, "prefix_estimates",
+                            lambda self, y, s, d: shapes.append(y.shape) or inner(self, y, s, d))
+        # two 40-sample trials per chunk
+        monkeypatch.setattr(bench, "_SCRATCH_BYTES", 2 * 8 * 40)
+        assert run_online_eval(signal, noise, methods, trials=5, base_seed=2).to_csv() == whole.to_csv()
+        assert shapes == [(2, 40)] * 4 + [(1, 40)] * 2
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # 64 trials of 2048 samples fill one chunk: eight chunks peak no
+        # higher than one (stacking all 512 trials would hold ~8 MiB each of
+        # the truths, the noisy series and the estimates)
+        signal, noise = SignalSpec("sine", 2048), NoiseSpec("uniform", (0.1, 0.2))
+        methods = [FixedWindowMethod(16), AdaptiveWindowMethod()]
+        peaks = []
+        for trials in (64, 512):
+            tracemalloc.start()
+            try:
+                run_online_eval(signal, noise, methods, trials=trials, base_seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
     def test_prefix_rows(self):
         Y = np.arange(12.0).reshape(3, 4)

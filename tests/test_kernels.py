@@ -189,9 +189,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (3 * 5 * 5
     @pytest.mark.skipif(sys.platform != "linux", reason="reads minor faults from getrusage")
     def test_stacked_tv_study_faults_no_pages_back_in(self):
         # The tvscale flow hands the Haar sweep stacks of 10 series of up to
-        # 2048 samples.  Its kept scratch table faults no pages in once warm
-        # (~0.04 faults per horizon and trial); the stacked table allocated
-        # per call instead faults 12-22.  A fresh interpreter, as above.
+        # 2048 samples.  It faults no pages in once warm (~0 faults per
+        # horizon and trial).  A table of a full 1 MiB chunk allocated per
+        # call faults ~12; the quarter-MiB chunks' tables are served from
+        # the heap even when allocated per call.  A fresh interpreter, as
+        # above.
         code = """
 import resource
 import driftwave as dw
@@ -246,9 +248,9 @@ class TestStacked:
     @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
     def test_mad_sigma_rows_match_single_series(self, family, boundary):
         # The last level of T = 2**k holds one window per row.  The MAD of a
-        # lone Haar window rounds differently from the same window in a
-        # stack (BLAS takes the two-tap product of one window), so a level
-        # of one window per row must not be stacked across rows.
+        # lone Haar window rounds differently from the same window among
+        # others (BLAS takes the two-tap product of one window), so each
+        # row's windows must be blocked as those of a single series.
         cfg = DenoiseConfig(family=family, sigma="mad", boundary=boundary)
         rng = np.random.default_rng(5)
         for T in (8, 9, 64, 100, 512, 2048):

@@ -17,6 +17,7 @@ The finest-level coefficients behind the MAD noise scale come from the
 family's high-pass taps, not from a basis, so the Haar sweep builds none.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -243,6 +244,20 @@ class TestSlidingMatchesWindows:
         assert got.shape == (count, len(basis.support))
         ref = basis.coefficients(windows)
         np.testing.assert_allclose(got, ref, rtol=0, atol=TOL * max(1.0, np.abs(y).max()))
+
+    @pytest.mark.parametrize("shape", [(63,), (3, 63)], ids=["series", "stack"])
+    def test_returns_a_new_array(self, shape):
+        # one block (count <= m = 32): the lags live in this thread's
+        # scratch, but the coefficients returned are the caller's own
+        basis = support_basis("db8", 32, "reflect")
+        y = drifting_series(5, math.prod(shape)).reshape(shape)
+        first = basis.sliding(y, 32)
+        kept = first.copy()
+        basis.sliding(y[..., ::-1].copy(), 32)
+        support_basis("db4", 32, "periodic").sliding(-y, 20)
+        _kernels.wavelet_prefix_estimates(y, "db8", sigma=0.3, delta=0.1)
+        assert first.tobytes() == kept.tobytes()
+        assert first.flags.owndata and first.flags.writeable
 
     @pytest.mark.parametrize("count, samples", [(0, 20), (9, 20), (4, 10)])
     def test_window_count_and_length_checked(self, count, samples):

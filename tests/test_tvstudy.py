@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftwave import tvstudy
+from driftwave import bench, tvstudy
 from driftwave.errors import LengthMismatch
 from driftwave.tvstudy import ScalingFit, TVStudySpec, risk, run_tv_study
 
@@ -147,6 +149,39 @@ class TestRunStudy:
         monkeypatch.setattr(tvstudy, "make_method", lambda spec: Forwarding(original(spec)))
         assert run_tv_study(spec, base_seed=4).to_csv() == stacked.to_csv()
         assert calls == [16] * 5 + [64] * 5 + [256] * 5
+
+    def test_trials_are_stacked_in_bounded_chunks(self, monkeypatch):
+        spec = TVStudySpec(tv_radius=1.5, sigma=0.7, n_grid=(16, 64), trials=5,
+                           estimator={"kind": "wavelet", "family": "db4"})
+        whole = run_tv_study(spec, base_seed=6)
+        shapes = []
+        original = tvstudy.make_method
+
+        def recording(method_spec):
+            method = original(method_spec)
+            inner = method.prefix_estimates
+            method.prefix_estimates = lambda y, s, d: shapes.append(y.shape) or inner(y, s, d)
+            return method
+
+        monkeypatch.setattr(tvstudy, "make_method", recording)
+        # three 16-sample trials per chunk, one 64-sample trial
+        monkeypatch.setattr(bench, "_SCRATCH_BYTES", 3 * 8 * 16)
+        assert run_tv_study(spec, base_seed=6).to_csv() == whole.to_csv()
+        assert shapes == [(3, 16), (2, 16)] + [(1, 64)] * 5
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # 128 trials fill a chunk of 1024 samples, and two of 2048 samples
+        peaks = []
+        for trials in (128, 512):
+            spec = TVStudySpec(tv_radius=1.0, sigma=1.0, n_grid=(1024, 2048), trials=trials,
+                               estimator={"kind": "wavelet", "family": "haar"})
+            tracemalloc.start()
+            try:
+                run_tv_study(spec, base_seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
     def test_csv_format(self):
         spec = TVStudySpec(
