@@ -24,9 +24,9 @@ with a fixed number of array operations: O(T log T) work for the sweep.  The
 other families' rows are not constant on dyadic blocks, so only Haar has
 this path.
 
-Both sweeps take a (B, T) stack of series too, so the harnesses sweep the
-trials of one noise level or horizon together; a single series is the
-B = 1 case.  A level runs on a chunk of rows whose FFT product (or Haar
+Both sweeps take a (B, T) stack of series too, so the harnesses sweep
+every noise level's trials, or one horizon's, together; a single series is
+the B = 1 case.  A level runs on a chunk of rows whose FFT product (or Haar
 table) fits a quarter of ``_SCRATCH_BYTES``, in this thread's scratch.
 Every step transforms, shrinks and reduces each row on its own, so a row's
 estimates are bit-identical to a call with that row alone.
@@ -110,7 +110,8 @@ def _rows_per_chunk(row_bytes: int) -> int:
 def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
     """``_shrink(coeffs, lam)`` written over ``coeffs``, the clip in this
     thread's scratch slot 1: the same bits without a temporary."""
-    clipped = np.clip(coeffs, -lam, lam, out=_scratch(1, coeffs.shape))
+    clipped = np.maximum(-lam, coeffs, out=_scratch(1, coeffs.shape))
+    np.minimum(lam, clipped, out=clipped)
     return np.subtract(coeffs, clipped, out=coeffs)
 
 
@@ -120,9 +121,9 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
 
     Each level runs on a chunk of rows (:func:`_rows_per_chunk` of its FFT
     product; the lags and the coefficients are smaller), so the
-    correlation's buffers stay in this thread's scratch; each row's
-    estimates are then its own (count, |S|) @ weights product, so a row's
-    estimates do not depend on the rows stacked with it."""
+    correlation's buffers stay in this thread's scratch; one matmul, which
+    numpy runs as one (count, |S|) @ weights product per row, then gives
+    estimates that do not depend on the rows stacked with it."""
     if get_family(cfg.family).name == "haar":
         return _haar_prefix_kernel(Y, cfg, out)
     raw = _raw_prefixes(cfg)
@@ -136,8 +137,7 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
             rows = Y[b : b + step]
             coeffs = basis.sliding(rows, hi - lo)
             lam = _level_threshold(cfg, rows, m, basis.n, hi - lo)
-            for i, shrunk in enumerate(_shrink_in_place(coeffs, lam), start=b):
-                out[i, lo:hi] = shrunk @ basis.weights
+            np.matmul(_shrink_in_place(coeffs, lam), basis.weights, out=out[b : b + step, lo:hi])
     return out
 
 
@@ -196,13 +196,16 @@ def wavelet_prefix_estimates(
     y: np.ndarray,
     family: str,
     *,
-    sigma: float | str,
+    sigma,
     delta: float,
     lam_override: float | None = None,
     boundary: str = "reflect",
 ) -> np.ndarray:
     """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T] of
     a series, or of each row of a (B, T) stack of series (shape of y).
+    ``sigma`` is a float, ``"mad"``, or a (B, 1) column with one float per
+    row; the rows sharing a sigma are swept together, each sweep with one
+    threshold per level.
 
     Each prefix is truncated to its most recent dyadic window, arranged per
     the boundary policy, and denoised; the estimate at t = 1 is the lone
@@ -215,9 +218,11 @@ def wavelet_prefix_estimates(
     (``ValueError``).  Each row's estimates are bit-identical to a call
     with that row alone.
     """
-    cfg = DenoiseConfig(
-        family=family, sigma=sigma, delta=delta, lambda_override=lam_override, boundary=boundary
-    )
+    column = np.ravel(sigma) if np.ndim(sigma) else None
+    # each distinct sigma once, by a dict: np.unique's first call adds ~1.6 MB RSS
+    cfgs = [DenoiseConfig(family=family, sigma=s, delta=delta, lambda_override=lam_override,
+                          boundary=boundary)
+            for s in (dict.fromkeys(column.tolist()) if column is not None else [sigma])]
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.ndim not in (1, 2):
         raise LengthMismatch(f"need a series or a (B, T) stack of series, got shape {y.shape}")
@@ -226,8 +231,16 @@ def wavelet_prefix_estimates(
     _require_finite(y)
     Y = y.reshape(-1, y.shape[-1])
     T = Y.shape[1]
+    if column is not None and len(column) != len(Y):
+        raise LengthMismatch(f"need one sigma per row, got {len(column)} for {len(Y)} rows")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        out = _prefix_kernel(Y, cfg, np.empty(Y.shape))
+        if len(cfgs) == 1:
+            out = _prefix_kernel(Y, cfgs[0], np.empty(Y.shape))
+        else:
+            out = np.empty(Y.shape)
+            for cfg in cfgs:
+                rows = column == cfg.sigma
+                out[rows] = _prefix_kernel(Y[rows], cfg, np.empty((np.count_nonzero(rows), T)))
     if y.ndim == 1:
         _require_finite_output(out[0], lambda i: f"the estimate from y[:{i + 1}]")
     else:

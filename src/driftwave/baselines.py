@@ -11,13 +11,12 @@ with failure probability delta.
 
 Both sweeps read every window mean off one cumulative sum, so a series
 costs O(T) for the fixed window and O(T log T) for the doubling test, which
-decides every level of every prefix in one pass over (levels x prefixes)
-arrays, a bounded block of prefixes at a time.  Both take a (B, T) stack of
-series as well, swept together with a leading row axis; every step is
-elementwise along the rows, so a row's result does not depend on the
-others.  The scalar
-``fixed_window_mean`` and ``adaptive_window_mean`` compute one prefix at a
-time with ``np.mean`` and are the reference the sweeps are tested against.
+tests one doubling level at a time on every prefix long enough for it.
+Both take a (B, T) stack of series as well, swept together with a leading
+row axis; every step is elementwise along the rows, so a row's result does
+not depend on the others.  The scalar ``fixed_window_mean`` and
+``adaptive_window_mean`` compute one prefix at a time with ``np.mean`` and
+are the reference the sweeps are tested against.
 Prefix sums round differently from ``np.mean``, so a doubling test whose
 margin lies within a rounding-error band derived from the magnitude of the
 cumulative sums is re-decided by the scalar scan on that prefix: the sweep
@@ -33,7 +32,6 @@ import numpy as np
 
 from .denoise import _require_finite, _require_finite_params, _require_sigma_delta
 from .errors import BadWindow
-from .wavelets import _SCRATCH_BYTES
 
 ADAPTIVE_TEST_CONSTANT = 2.0
 
@@ -154,21 +152,22 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
     """``adaptive_window_mean`` of every prefix y[:t], in one sweep, of a
     series or of each row of a (B, T) stack.
 
-    ``sigma`` is one noise scale for all prefixes or an array holding one
-    per prefix: (T,) for every row alike, or (B, T).  Every doubling level
-    r = 1, 2, 4, ... is tested for every prefix at once, as one (B x levels
-    x prefixes) array per quantity, a block of prefixes at a time so that
-    each array stays within ``_SCRATCH_BYTES``; a prefix keeps the window of
-    the first level whose test fails, falls inside the band below, or has
-    2r > t.  A test margin |lhs - rhs| inside the band that bounds the
-    rounding error of both the sweep's and the scalar scan's arithmetic
-    sends that prefix to ``adaptive_window_mean``.  Every step is
-    elementwise along the rows, so each row's sweep is bit-identical to a
-    call with that row alone; ``rechecked`` is then one count per row.
+    ``sigma`` is one noise scale for all prefixes, a (B, 1) column with one
+    per row of a stack, or an array holding one per prefix: (T,) for every
+    row alike, or (B, T).  The doubling levels r = 1, 2, 4, ... are tested
+    one at a time, each on every prefix y[:t] with t >= 2r at once, as
+    slices of the cumulative sums; a prefix keeps the window of the first
+    level whose test fails, falls inside the band below, or has 2r > t, and
+    the sweep ends at the first level no prefix passes.  A test margin
+    |lhs - rhs| inside the band that bounds the rounding error of both the
+    sweep's and the scalar scan's arithmetic sends that prefix to
+    ``adaptive_window_mean``.  Every step is elementwise along the rows, so
+    each row's sweep is bit-identical to a call with that row alone;
+    ``rechecked`` is then one count per row.
     """
     y = _series(y)
     Y = y.reshape(-1, y.shape[-1])
-    B, T = Y.shape
+    T = Y.shape[1]
     sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), y.shape).reshape(Y.shape)
     _require_finite_params(sigma=sigma, delta=delta)
     if not (0.0 < delta < 1.0):
@@ -190,45 +189,24 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
 
     windows = np.ones(Y.shape, dtype=np.int64)
     rechecked = np.zeros(Y.shape, dtype=bool)
-    levels = T.bit_length() - 1  # r = 1, 2, ..., 2**(levels - 1): every r with 2r <= T
-    r = (1 << np.arange(levels))[:, None]
-    root_r = np.sqrt(r)
-    width = max(1, _SCRATCH_BYTES // (8 * max(levels, 1) * B))
-    for start in range(2, T + 1, width):
-        t = np.arange(start, min(start + width, T + 1))
-        # where 2r > t the indices wrap to the end of the sums; those
-        # entries are never read as a decision
-        older = t - 2 * r
+    for k in range(T.bit_length() - 1):  # r = 2**k, tested on the prefixes t = 2r .. T
+        r = 1 << k
+        new, older, win = slice(2 * r, None), slice(0, T + 1 - 2 * r), windows[:, 2 * r - 1 :]
         # margin = |(s_t - s_{t-r}) / r - (s_t - s_{t-2r}) / 2r| - rhs and
-        # band = 8 eps (err_t / r + |y|_t - |y|_{t-2r} + 2 rhs), each step
-        # written over its first operand so few (B x levels x prefixes)
-        # arrays are alive at once
-        new_sums = sums[:, None, t]
-        margin = new_sums - sums[:, t - r]
-        margin /= r
-        mean_2r = new_sums - sums[:, older]
-        mean_2r /= 2 * r
-        margin -= mean_2r
-        del mean_2r
-        np.abs(margin, out=margin)
-        rhs = ADAPTIVE_TEST_CONSTANT * deviation[:, None, t - 1] / root_r
-        margin -= rhs
-        band = sums_err[:, None, t] / r
-        band += abs_y[:, None, t]
-        band -= abs_y[:, older]
-        rhs *= 2.0
-        band += rhs
-        band *= 8.0 * _EPS
-        tested = older >= 0
-        unsure = (np.abs(margin) <= band) & tested
-        # each prefix stops at its first unsure, failed or untested level;
-        # the last row stands for passing every level
-        stop = np.ones((B, levels + 1, len(t)), dtype=bool)
-        stop[:, :-1] = unsure | ~(margin <= 0.0) | ~tested
-        first = stop.argmax(axis=1)
-        windows[:, t - 1] = 1 << first
-        at_first = np.take_along_axis(unsure, np.minimum(first, levels - 1)[:, None, :], axis=1)[:, 0]
-        rechecked[:, t - 1] = (first < levels) & at_first
+        # band = 8 eps (err_t / r + |y|_t - |y|_{t-2r} + 2 rhs)
+        rhs = ADAPTIVE_TEST_CONSTANT * deviation[:, 2 * r - 1 :] / math.sqrt(r)
+        mean_r = (sums[:, new] - sums[:, r : T + 1 - r]) / r
+        margin = np.abs(mean_r - (sums[:, new] - sums[:, older]) / (2 * r)) - rhs
+        band = (sums_err[:, new] / r + abs_y[:, new] - abs_y[:, older] + rhs * 2.0) * (8.0 * _EPS)
+        # a prefix is open while its window is r (it passed every smaller
+        # level); it closes at its first unsure, failed or untested level
+        is_open = win == r
+        unsure = np.abs(margin) <= band
+        rechecked[:, 2 * r - 1 :] |= is_open & unsure
+        passed = is_open & ~unsure & (margin <= 0.0)
+        if not passed.any():
+            break
+        np.copyto(win, 2 * r, where=passed)
 
     values = _window_means(Y, sums, windows)
     for b, i in np.argwhere(rechecked):

@@ -6,9 +6,9 @@ observation prefix y[1..t] (current point included), and the squared errors
 are averaged over all time-points.  Trials are independently seeded
 (``base_seed + trial``) and reduced in trial order, so reports are
 bit-identical across runs.  A method that declares ``stacked`` estimates
-the trials of one noise level as (trials, T) stacks, a bounded chunk of
-trials at a time, each row exactly as it would alone; any other method is
-called once per trial.
+every noise level's trials as one (levels x trials, T) stack, a bounded
+chunk of trials at a time, each row exactly as it would alone; any other
+method is called once per row.
 """
 
 from __future__ import annotations
@@ -145,11 +145,12 @@ class NoiseSpec:
 # A method exposes `name` and `prefix_estimates(y, known_sigma, delta)`
 # returning one latest-value estimate per observation prefix of the series y.
 # A method that also declares `stacked = True` takes a (B, T) stack of
-# equally long series as y and returns the (B, T) estimates, row b's equal to
-# a call with y[b] alone; the harnesses hand such a method all the trials of
-# one noise level or horizon in one call (`prefix_rows`).  Any other method
-# (a CSV replay, a user's method, a wrapper that does not forward
-# `stacked`) is called once per row.
+# equally long series as y, known_sigma a float or a (B, 1) column, and
+# returns the (B, T) estimates, row b's equal to a call with y[b] and its
+# sigma alone; the harnesses hand such a method every noise level's trials,
+# or one horizon's, in one call (`prefix_rows`).  Any other method (a CSV
+# replay, a user's method, a wrapper that does not forward `stacked`) is
+# called once per row, with that row's sigma as a float.
 
 
 class WaveletMethod:
@@ -166,7 +167,7 @@ class WaveletMethod:
         self.sigma_mode = sigma_mode
         self.name = name or (family if sigma_mode == "known" else f"{family}_mad")
 
-    def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
+    def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         sigma = known_sigma if self.sigma_mode == "known" else "mad"
         return _kernels.wavelet_prefix_estimates(
             y, self.family, sigma=sigma, delta=delta, boundary=self.boundary
@@ -185,7 +186,7 @@ class AdaptiveWindowMethod:
         self.sigma_mode = sigma_mode
         self.name = name or ("avg" if sigma_mode == "known" else "avg_proxy")
 
-    def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
+    def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         sigma = known_sigma
         if self.sigma_mode == "proxy":
             y = np.asarray(y, dtype=np.float64)
@@ -203,7 +204,7 @@ class FixedWindowMethod:
         self.window = window
         self.name = name or f"window{window}"
 
-    def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
+    def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         return fixed_window_sweep(y, self.window).values
 
 
@@ -213,24 +214,26 @@ class PassthroughMethod:
     name = "passthrough"
     stacked = True
 
-    def prefix_estimates(self, y: np.ndarray, known_sigma: float, delta: float) -> np.ndarray:
+    def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         return np.array(y, dtype=np.float64)
 
 
-def prefix_rows(method, Y: np.ndarray, known_sigma: float, delta: float):
-    """The prefix estimates of each row of the (B, T) stack Y, indexable by
-    row: one call with the whole stack for a method that declares
-    ``stacked``, else one call per row, in row order."""
+def prefix_rows(method, Y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
+    """The (B, T) prefix estimates of the rows of the (B, T) stack Y, whose
+    noise scale ``known_sigma`` is one float or a (B, 1) column: one call
+    with the whole stack for a method that declares ``stacked``, else one
+    call per row, in row order, with that row's sigma as a float."""
     if getattr(method, "stacked", False):
         return method.prefix_estimates(Y, known_sigma, delta)
-    return [method.prefix_estimates(y, known_sigma, delta) for y in Y]
+    sigmas = np.broadcast_to(known_sigma, (len(Y), 1))[:, 0]
+    return np.array([method.prefix_estimates(y, float(s), delta) for y, s in zip(Y, sigmas)])
 
 
-def _trial_chunks(trials: int, T: int) -> list[range]:
-    """Trials 0 .. trials - 1 in consecutive chunks whose (chunk, T) stack
-    of floats fits ``_SCRATCH_BYTES`` (one trial at least), so a harness's
-    stacks, and the sweeps' temporaries, do not grow with the trial count."""
-    step = max(1, _SCRATCH_BYTES // (8 * T))
+def _trial_chunks(trials: int, T: int, levels: int = 1) -> list[range]:
+    """Trials 0 .. trials - 1 in consecutive chunks whose (levels x chunk, T)
+    stack of floats fits ``_SCRATCH_BYTES`` (one trial at least), so the
+    stacks and the sweeps' temporaries do not grow with the trial count."""
+    step = max(1, _SCRATCH_BYTES // (8 * T * levels))
     return [range(k, min(k + step, trials)) for k in range(0, trials, step)]
 
 
@@ -374,10 +377,10 @@ def run_online_eval(
     is shared across trials), then for each noise level draw one noisy
     sequence and let every method estimate theta_t from y[1..t] for all t.
     The MSE is averaged over all time-points; mean and standard deviation
-    are taken across trials.  Each method sees the trials of one noise
-    level as (trials, T) stacks (:func:`prefix_rows`), a chunk of trials at
-    a time (:func:`_trial_chunks`).  Each trial keeps its own rng, which
-    draws as listed: the truth, then each level's noise in level order.
+    are taken across trials.  Each method sees a chunk of trials as one
+    level-major (levels x trials, T) stack with a (levels x trials, 1) sigma
+    column (:func:`_trial_chunks`, :func:`prefix_rows`).  Each trial keeps
+    its own rng, which draws the truth, then each level's noise in order.
     """
     if not methods:
         raise ValueError("need at least one method")
@@ -392,19 +395,17 @@ def run_online_eval(
 
     T, levels = signal.n_points, noise.levels
     mse = np.empty((trials, len(levels), len(methods)))
-    for chunk in _trial_chunks(trials, T):
-        rngs = [np.random.default_rng(base_seed + trial) for trial in chunk]
-        theta, y = np.empty((len(chunk), T)), np.empty((len(chunk), T))
-        for row, rng in enumerate(rngs):
+    for chunk in _trial_chunks(trials, T, len(levels)):
+        theta, y = np.empty((len(chunk), T)), np.empty((len(levels), len(chunk), T))
+        for row, trial in enumerate(chunk):
+            rng = np.random.default_rng(base_seed + trial)
             theta[row] = fixed_theta if fixed_theta is not None else generate_signal(signal, rng)
-        for li, level in enumerate(levels):
-            for row, rng in enumerate(rngs):
-                y[row] = theta[row] + noise.sample(rng, level, T)
-            sigma = noise.known_sigma(level)
-            for mi, method in enumerate(methods):
-                est = prefix_rows(method, y, sigma, delta)
-                for row, trial in enumerate(chunk):
-                    mse[trial, li, mi] = float(np.mean((est[row] - theta[row]) ** 2))
+            for li, level in enumerate(levels):
+                y[li, row] = theta[row] + noise.sample(rng, level, T)
+        sigma = np.repeat([noise.known_sigma(level) for level in levels], len(chunk))[:, None]
+        for mi, method in enumerate(methods):
+            est = prefix_rows(method, y.reshape(-1, T), sigma, delta).reshape(y.shape)
+            mse[chunk.start : chunk.stop, :, mi] = np.mean((est - theta) ** 2, axis=-1).T
 
     mean = mse.mean(axis=0)
     std = mse.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)

@@ -244,8 +244,12 @@ def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
     the one soft-threshold formula, without :func:`soft_threshold`'s check
     of lam.  Every killed coefficient is +0.0.  Shared by soft_threshold, the
     stacked estimate and the prefix kernel.
+    The clip is ``minimum(lam, maximum(-lam, coeffs))``, faster than
+    ``np.clip`` for an array lam; numpy's minimum and maximum return their
+    second operand on a tie, so a killed -0.0 is +0.0 where ``np.clip``
+    with an array lam leaves it -0.0.
     """
-    return coeffs - np.clip(coeffs, -lam, lam)
+    return coeffs - np.minimum(lam, np.maximum(-lam, coeffs))
 
 
 def _noise_scale(cfg: DenoiseConfig, n_vec: int, mad):

@@ -510,9 +510,13 @@ def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndar
     high-pass taps gives every coefficient.  The buffer keeps the sample
     axis outermost in memory, the layout these coefficients' rounding was
     fixed with: a window-major buffer rounds some of them differently in
-    the last bit."""
+    the last bit, and so does one window alone (numpy hands its rows to
+    BLAS), which is therefore row 0 of a stack of two."""
     g = family.highpass
     w = windows.shape[-1]
+    if math.prod(windows.shape[:-1]) == 1:
+        pair = np.broadcast_to(windows.reshape(1, w), (2, w))
+        return finest(family, pair, boundary)[0].reshape(windows.shape[:-1] + (-1,))
     fold = boundary == "reflect"
     m = 2 * w if fold else w
     buf = np.empty((m + len(g) - 2,) + windows.shape[-2::-1])

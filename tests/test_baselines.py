@@ -137,6 +137,35 @@ def value_tol(y: np.ndarray) -> float:
     return TOL * max(1.0, float(np.abs(y).max()))
 
 
+def grid_decisions(y: np.ndarray, sigma, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(window, rechecked) of every prefix of y from one (levels x prefixes)
+    grid: each doubling level's test on every prefix at once, in the
+    sweep's formulas, each prefix stopping at its first unsure, failed or
+    untested level."""
+    T = len(y)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (T,))
+    centered = y - y[0]
+    sums = np.concatenate([[0.0], np.cumsum(centered)])
+    sums_err = np.cumsum(np.abs(sums)) + np.concatenate([[0.0], np.cumsum(np.abs(centered))])
+    abs_y = np.concatenate([[0.0], np.cumsum(np.abs(y))])
+    levels = T.bit_length() - 1
+    r = (1 << np.arange(levels))[:, None]
+    t = np.arange(1, T + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deviation = sigma * np.sqrt(2.0 * np.log(2.0 * np.log2(t) / delta))
+    older = t - 2 * r  # wraps where 2r > t; never read there
+    margin = np.abs((sums[t] - sums[t - r]) / r - (sums[t] - sums[older]) / (2 * r))
+    rhs = baselines.ADAPTIVE_TEST_CONSTANT * deviation[t - 1] / np.sqrt(r)
+    margin = margin - rhs
+    band = (sums_err[t] / r + abs_y[t] - abs_y[older] + 2.0 * rhs) * (8.0 * np.finfo(float).eps)
+    tested = older >= 0
+    unsure = (np.abs(margin) <= band) & tested
+    stop = np.vstack([unsure | ~(margin <= 0.0) | ~tested, np.ones((1, T), dtype=bool)])
+    first = stop.argmax(axis=0)
+    at_first = unsure[np.minimum(first, max(levels - 1, 0)), t - 1] if levels else np.zeros(T, bool)
+    return (1 << first).astype(np.int64), (first < levels) & at_first
+
+
 series_kinds = st.sampled_from(["drifting", "constant", "near_constant", "offset"])
 known_sigmas = st.one_of(st.just(0.0), st.floats(1e-15, 1e-9), st.floats(0.01, 2.0))
 
@@ -169,20 +198,19 @@ class TestAdaptiveWindowSweep:
     @given(
         seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), kind=series_kinds,
         sigma=st.one_of(known_sigmas, st.just("per-prefix")),
-        block_bytes=st.integers(1, 400),
     )
-    def test_blocks_of_prefixes_change_no_bits(self, seed, T, kind, sigma, block_bytes):
+    def test_level_walk_matches_the_whole_grid(self, seed, T, kind, sigma):
+        """Testing one level at a time, on the prefixes long enough for it,
+        and stopping at the first level no prefix passes, decides every
+        prefix as the doubling test of every level on every prefix does."""
         y = sweep_series(kind, seed, T)
         if sigma == "per-prefix":  # zeros among them, whose prefixes are rechecked
             sigma = np.random.default_rng(seed).choice([0.0, 0.05, 0.3, 1.0], T)
-        whole = adaptive_window_sweep(y, sigma, 0.1)
-        with pytest.MonkeyPatch.context() as mp:
-            # a block of max(1, block_bytes // (8 levels)) prefixes
-            mp.setattr(baselines, "_SCRATCH_BYTES", block_bytes)
-            blocked = adaptive_window_sweep(y, sigma, 0.1)
-        assert blocked.values.tobytes() == whole.values.tobytes()
-        assert blocked.windows.tobytes() == whole.windows.tobytes()
-        assert blocked.rechecked == whole.rechecked
+        windows, rechecked = grid_decisions(y, sigma, 0.1)
+        sweep = adaptive_window_sweep(y, sigma, 0.1)
+        assert sweep.rechecked == int(rechecked.sum())
+        settled = ~rechecked  # a rechecked prefix takes the scalar scan's window
+        assert sweep.windows[settled].tobytes() == windows[settled].tobytes()
 
     def test_borderline_prefixes_fall_back_to_scalar_scan(self, monkeypatch):
         # With sigma = 0 every doubling test compares a rounding-level

@@ -201,10 +201,11 @@ class Forwarding:
     or recording wrapper would: the harness calls it once per series."""
 
     def __init__(self, inner):
-        self.inner, self.name, self.calls = inner, inner.name, []
+        self.inner, self.name, self.calls, self.sigmas = inner, inner.name, [], []
 
     def prefix_estimates(self, y, known_sigma, delta):
         self.calls.append(np.shape(y))
+        self.sigmas.append(known_sigma)
         return self.inner.prefix_estimates(y, known_sigma, delta)
 
 
@@ -215,8 +216,9 @@ def stacked_methods():
 
 
 class TestStackedTrials:
-    """Stacked methods see the trials of a noise level as one (trials, T)
-    stack; the report's bytes are those of one call per trial."""
+    """Stacked methods see every noise level's trials as one (levels x
+    trials, T) stack with a (levels x trials, 1) sigma column; the report's
+    bytes are those of one call per trial and level."""
 
     @pytest.mark.parametrize("signal", [SignalSpec("doppler", 300), SignalSpec("random_coin", 257)],
                              ids=["doppler", "random_coin"])
@@ -244,14 +246,18 @@ class TestStackedTrials:
         assert report.mean_mse[:, 0].tobytes() == want.mean(axis=0).tobytes()
         assert report.std_mse[:, 0].tobytes() == want.std(axis=0, ddof=1).tobytes()
 
-    def test_stacked_method_called_once_per_level(self, monkeypatch):
-        shapes = []
+    def test_stacked_method_called_once_per_chunk(self, monkeypatch):
+        calls = []
         inner = WaveletMethod.prefix_estimates
         monkeypatch.setattr(WaveletMethod, "prefix_estimates",
-                            lambda self, y, s, d: shapes.append(y.shape) or inner(self, y, s, d))
+                            lambda self, y, s, d: calls.append((y.shape, s)) or inner(self, y, s, d))
         run_online_eval(SignalSpec("sine", 40), NoiseSpec("uniform", (0.1, 0.2)),
                         [WaveletMethod("haar")], trials=3, base_seed=0)
-        assert shapes == [(3, 40), (3, 40)]
+        [(shape, sigma)] = calls
+        assert shape == (6, 40)
+        # level-major rows: the three trials of 0.1, then those of 0.2
+        want = np.repeat([0.1 / np.sqrt(3.0), 0.2 / np.sqrt(3.0)], 3)[:, None]
+        assert sigma.tobytes() == want.tobytes()
 
     def test_trials_are_stacked_in_bounded_chunks(self, monkeypatch):
         signal, noise = SignalSpec("random_coin", 40), NoiseSpec("gaussian", (0.3, 0.6))
@@ -261,10 +267,15 @@ class TestStackedTrials:
         inner = WaveletMethod.prefix_estimates
         monkeypatch.setattr(WaveletMethod, "prefix_estimates",
                             lambda self, y, s, d: shapes.append(y.shape) or inner(self, y, s, d))
-        # two 40-sample trials per chunk
+        # two rows of 40 samples per chunk: one trial at both levels
         monkeypatch.setattr(bench, "_SCRATCH_BYTES", 2 * 8 * 40)
         assert run_online_eval(signal, noise, methods, trials=5, base_seed=2).to_csv() == whole.to_csv()
-        assert shapes == [(2, 40)] * 4 + [(1, 40)] * 2
+        assert shapes == [(2, 40)] * 5
+        # four rows per chunk: two trials at both levels, then the last trial
+        shapes.clear()
+        monkeypatch.setattr(bench, "_SCRATCH_BYTES", 4 * 8 * 40)
+        assert run_online_eval(signal, noise, methods, trials=5, base_seed=2).to_csv() == whole.to_csv()
+        assert shapes == [(4, 40)] * 2 + [(2, 40)]
 
     def test_peak_memory_does_not_grow_with_trials(self):
         # 64 trials of 2048 samples fill one chunk: eight chunks peak no
@@ -288,7 +299,62 @@ class TestStackedTrials:
         wrapped = Forwarding(PassthroughMethod())
         rows = prefix_rows(wrapped, Y, 0.1, 0.1)
         assert wrapped.calls == [(4,)] * 3
-        assert np.array(rows).tobytes() == Y.tobytes()
+        assert rows.tobytes() == Y.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.25, np.array([[0.1], [0.0], [0.7]])], ids=["float", "column"])
+    def test_prefix_rows_hands_each_row_its_float_sigma(self, sigma):
+        wrapped = Forwarding(WaveletMethod("db2"))
+        Y = np.random.default_rng(4).normal(size=(3, 24))
+        rows = prefix_rows(wrapped, Y, sigma, 0.1)
+        want = np.broadcast_to(sigma, (3, 1))[:, 0].tolist()
+        assert wrapped.sigmas == want
+        assert all(type(s) is float for s in wrapped.sigmas)
+        assert rows.tobytes() == prefix_rows(WaveletMethod("db2"), Y, np.reshape(want, (3, 1)), 0.1).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), T=st.integers(1, 80),
+           method=st.sampled_from(range(len(stacked_methods()))),
+           pool=st.lists(st.sampled_from([0.0, 1e-12, 0.05, 0.3, 0.3, 1.0]), min_size=1, max_size=3))
+    def test_sigma_column_rows_match_one_row_calls(self, seed, B, T, method, pool):
+        """Row b of a stack with a (B, 1) sigma column is the one-row call
+        with sigma[b], byte for byte, for every stacked method."""
+        rng = np.random.default_rng(seed)
+        Y = np.cumsum(rng.normal(0.0, 0.3, (B, T)), axis=1)
+        sigma = rng.choice(pool, (B, 1))
+        m = stacked_methods()[method]
+        got = m.prefix_estimates(Y, sigma, 0.1)
+        for b in range(B):
+            assert got[b].tobytes() == m.prefix_estimates(Y[b], float(sigma[b, 0]), 0.1).tobytes(), b
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1])
+    def test_sigma_column_refuses_a_bad_sigma(self, bad):
+        column = np.array([[0.1], [bad], [0.1]])
+        with pytest.raises(ValueError, match="sigma must be"):
+            WaveletMethod("db2").prefix_estimates(np.zeros((3, 16)), column, 0.1)
+
+    def test_sigma_column_names_the_row_of_a_bad_observation(self):
+        Y = np.zeros((3, 16))
+        Y[2, 5] = np.nan
+        with pytest.raises(NonFiniteValue, match="row 2 observation 5"):
+            WaveletMethod("db2").prefix_estimates(Y, np.array([[0.1], [0.2], [0.1]]), 0.1)
+
+    @pytest.mark.parametrize("T", [7, 128, 1031])
+    def test_mse_is_one_mean_per_row(self, T):
+        """The per-row MSE, one axis-1 mean over the whole stack, has the
+        bits of ``np.mean`` of each trial's and level's errors alone."""
+        signal, noise = SignalSpec("sine", T), NoiseSpec("uniform", (0.2, 0.5, 1.0))
+        methods = [PassthroughMethod(), FixedWindowMethod(4)]
+        theta = generate_signal(signal, 0)
+        want = np.empty((4, 3, 2))
+        for trial in range(4):
+            rng = np.random.default_rng(5 + trial)
+            for li, level in enumerate(noise.levels):
+                y = theta + noise.sample(rng, level, T)
+                for mi, m in enumerate(methods):
+                    want[trial, li, mi] = float(np.mean((m.prefix_estimates(y, 0.0, 0.1) - theta) ** 2))
+        report = run_online_eval(signal, noise, methods, trials=4, base_seed=5)
+        assert report.mean_mse.tobytes() == want.mean(axis=0).tobytes()
+        assert report.std_mse.tobytes() == want.std(axis=0, ddof=1).tobytes()
 
 
 class TestCsvReplay:

@@ -9,6 +9,7 @@ from driftwave.denoise import (
     MAD_SCALE,
     DenoiseConfig,
     _mad_rows,
+    _shrink,
     bound_report,
     default_lambda,
     denoise_signal,
@@ -22,7 +23,7 @@ from driftwave.denoise import (
     soft_threshold,
     tv_variational_bound,
 )
-from driftwave._kernels import wavelet_prefix_estimates
+from driftwave._kernels import _shrink_in_place, wavelet_prefix_estimates
 from driftwave.baselines import adaptive_window_mean
 from driftwave.bench import NoiseSpec, SignalSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
@@ -74,6 +75,41 @@ class TestSoftThreshold:
         tx = soft_threshold(x, lam)
         assert abs(tx) <= abs(x) + 1e-12
         assert abs(x - tx) <= lam + 1e-9 * max(1.0, abs(x))  # |x|-lam rounds at ulp(|x|)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.sampled_from([(7,), (3, 5), (2, 4, 6), (4, 1), (1, 3, 9)]),
+        form=st.sampled_from(["float", "column", "row"]),
+        lams=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.inf]), st.floats(0.0, 10.0)),
+                      min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_shrink_has_the_bits_of_the_clip(self, shape, form, lams, data):
+        """The min/max soft threshold against ``x - np.clip(x, -lam, lam)``
+        for a float lam, a (B, 1) or (B, count, 1) column, or one lam per
+        last-axis entry (the Haar sweep's), on -0.0, ties at +-lam, lam = 0,
+        lam = inf and NaN: the same bits, except that a killed -0.0 is +0.0
+        where np.clip's array-lam loop keeps it -0.0."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if form == "float":
+            lam = data.draw(st.sampled_from(lams))
+        else:
+            lead = shape[:-1] if form == "column" else shape[:-2] + (1,) * (len(shape) > 1)
+            lam = rng.choice(lams, size=lead + ((1,) if form == "column" else shape[-1:]))
+        ties = np.broadcast_to(lam, shape) * rng.choice([-1.0, 1.0], size=shape)
+        specials = rng.choice([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300], size=shape)
+        x = np.select([rng.random(shape) < 0.3, rng.random(shape) < 0.3], [ties, specials],
+                      rng.normal(0.0, 2.0, shape))
+        with np.errstate(invalid="ignore"):
+            want = x - np.clip(x, -lam, lam)
+            want[want == 0.0] = 0.0
+            got = _shrink(x, lam)
+            in_place = _shrink_in_place(x.copy(), lam)
+            clipped = x - np.clip(x, -lam, lam)
+        assert got.tobytes() == want.tobytes()
+        assert in_place.tobytes() == want.tobytes()
+        if form == "float":  # np.clip's own float-lam loop already gives +0.0
+            assert got.tobytes() == clipped.tobytes()
 
     def test_contraction_on_random_grid(self):
         rng = np.random.default_rng(0)

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftwave
-from driftwave._kernels import _levels, _mad_sigma, prefix_estimates_reference, wavelet_prefix_estimates
+from driftwave._kernels import (_levels, _mad_sigma, _shrink_in_place, prefix_estimates_reference,
+                                wavelet_prefix_estimates)
 from driftwave.denoise import DenoiseConfig
-from driftwave.errors import DomainError, NonFiniteValue
-from driftwave.wavelets import FAMILY_NAMES
+from driftwave.errors import DomainError, LengthMismatch, NonFiniteValue
+from driftwave.wavelets import FAMILY_NAMES, support_basis
 
 
 @pytest.fixture(scope="module")
@@ -244,13 +245,26 @@ class TestStacked:
         for y, row in zip(Y, got):
             assert row.tobytes() == wavelet_prefix_estimates(y, family, **kw).tobytes()
 
+    @pytest.mark.parametrize("B", [1, 2, 5, 25])
+    @pytest.mark.parametrize("family", ["db2", "db8"])
+    def test_one_product_per_chunk_matches_the_row_products(self, B, family):
+        """The chunk's shrunk coefficients reduced against the weights by one
+        matmul into the output's strided columns: the bits of one
+        (count, |S|) @ weights product per row, at every level."""
+        Y = np.random.default_rng(B).normal(0.0, 1.0, (B, 500))
+        for m, lo, hi in _levels(500):
+            basis = support_basis(family, m, "reflect")
+            shrunk = _shrink_in_place(basis.sliding(Y, hi - lo), 0.4)
+            out = np.zeros((B, 500))
+            np.matmul(shrunk, basis.weights, out=out[:, lo:hi])
+            for b in range(B):
+                assert out[b, lo:hi].tobytes() == (shrunk[b] @ basis.weights).tobytes(), (b, m)
+
     @pytest.mark.parametrize("family", ["haar", "db4"])
     @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
     def test_mad_sigma_rows_match_single_series(self, family, boundary):
-        # The last level of T = 2**k holds one window per row.  The MAD of a
-        # lone Haar window rounds differently from the same window among
-        # others (BLAS takes the two-tap product of one window), so each
-        # row's windows must be blocked as those of a single series.
+        # The last level of T = 2**k holds one window per row, which
+        # `finest` must round as it rounds the same window among others.
         cfg = DenoiseConfig(family=family, sigma="mad", boundary=boundary)
         rng = np.random.default_rng(5)
         for T in (8, 9, 64, 100, 512, 2048):
@@ -286,6 +300,16 @@ class TestStacked:
             NonFiniteValue, match=r"^the estimate from y\[:\d+\] is not finite: the observations overflow"
         ):
             wavelet_prefix_estimates(Y[1], family, sigma=sigma, delta=0.1)
+
+    def test_sigma_column_names_the_row_in_the_stack(self):
+        # row 1 is the first row of the rows swept with sigma 0.1
+        Y = np.zeros((3, 8))
+        Y[1] = 1e308
+        column = np.array([[0.3], [0.1], [0.1]])
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match=r"^the estimate from row 1's"):
+            wavelet_prefix_estimates(Y, "db4", sigma=column, delta=0.1)
+        with pytest.raises(LengthMismatch, match="one sigma per row"):
+            wavelet_prefix_estimates(Y, "db4", sigma=column[:2], delta=0.1)
 
     def test_overflow_warns_nothing(self):
         y = np.array([1e308, -1e308] * 4)

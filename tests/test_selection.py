@@ -201,6 +201,28 @@ class TestBatchedSelect:
         if result.chosen in ("a-copy", panel[src].model_id):
             assert result.chosen == "a-copy"
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), models=st.integers(2, 8), T=st.integers(4, 600),
+        family=st.sampled_from(FAMILY_NAMES), boundary=st.sampled_from(["reflect", "periodic"]),
+        data=st.data(),
+    )
+    def test_mad_score_does_not_depend_on_its_panel(self, seed, models, T, family, boundary, data):
+        """A model's MAD score alone, in a panel of 2 to 8 at any position,
+        and its ``estimate_latest`` are the same bits."""
+        cfg = DenoiseConfig(family=family, sigma="mad", boundary=boundary)
+        panel = drifting_panel(seed, models, T)
+        at = data.draw(st.integers(0, models - 1))
+        model = panel[at]
+        try:
+            alone = select([model], cfg).scores[model.model_id]["denoised"]
+        except TooShort:  # MAD on a periodic window of 2 or 3 points
+            return
+        stacked = select(panel, cfg).scores[model.model_id]["denoised"]
+        latest = estimate_latest(model.losses, cfg).value
+        assert np.float64(alone).tobytes() == np.float64(stacked).tobytes()
+        assert np.float64(alone).tobytes() == np.float64(latest).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), models=st.integers(1, 10), T=st.integers(1, 64),
