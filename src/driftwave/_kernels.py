@@ -26,7 +26,9 @@ this path.
 
 Both sweeps take a (B, T) stack of series too, so the harnesses sweep
 every noise level's trials, or one horizon's, together; a single series is
-the B = 1 case.  A level runs on a chunk of rows whose FFT product (or Haar
+the B = 1 case.  A known noise scale may be a (B, 1) column, which becomes
+a per-row threshold of each level, so a stack of noise levels is still one
+sweep.  A level runs on a chunk of rows whose FFT product (or Haar
 table) fits a quarter of ``_SCRATCH_BYTES``, in this thread's scratch.
 Every step transforms, shrinks and reduces each row on its own, so a row's
 estimates are bit-identical to a call with that row alone.
@@ -45,6 +47,7 @@ from .denoise import (
     _noise_scale,
     _require_finite,
     _require_finite_output,
+    _require_sigma_delta,
     _threshold,
     estimate_latest,
 )
@@ -72,11 +75,15 @@ def _raw_prefixes(cfg: DenoiseConfig) -> int:
     return 3 if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" else 1
 
 
-def _level_threshold(cfg: DenoiseConfig, Y, m: int, n: int, count: int):
+def _level_threshold(cfg: DenoiseConfig, Y, m: int, n: int, count: int, sigma):
     """Threshold of the ``count`` windows Y[b, j : j + m] of one level in
     each row b of a (B, T) stack, each transformed at length n, by the
     estimator's own noise-scale and threshold rule: a float for the level,
-    or a (B, count, 1) column with one value per row and window."""
+    a (B, 1, 1) column for a (B, 1) column ``sigma`` of the rows' known
+    noise scales (None: cfg's), or a (B, count, 1) column with one value
+    per row and window under MAD."""
+    if sigma is not None:
+        return _threshold(cfg, m, lambda: sigma[:, :, None])
     return _threshold(cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, Y, m, count)))
 
 
@@ -115,9 +122,10 @@ def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=coeffs)
 
 
-def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigma) -> np.ndarray:
     """out[b, t - 1] = the estimate from Y[b, :t] for a (B, T) stack, one
-    dyadic window size at a time, thresholded by :func:`_level_threshold`.
+    dyadic window size at a time, thresholded by :func:`_level_threshold`
+    with the rows' known noise scales ``sigma``, a (B, 1) column or None.
 
     Each level runs on a chunk of rows (:func:`_rows_per_chunk` of its FFT
     product; the lags and the coefficients are smaller), so the
@@ -125,7 +133,7 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
     numpy runs as one (count, |S|) @ weights product per row, then gives
     estimates that do not depend on the rows stacked with it."""
     if get_family(cfg.family).name == "haar":
-        return _haar_prefix_kernel(Y, cfg, out)
+        return _haar_prefix_kernel(Y, cfg, out, sigma)
     raw = _raw_prefixes(cfg)
     out[:, :raw] = Y[:, :raw]
     for m, lo, hi in _levels(Y.shape[1]):
@@ -134,14 +142,14 @@ def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.nda
         basis = support_basis(cfg.family, m, cfg.boundary)
         step = _rows_per_chunk(16 * len(basis.rows) * (m + 1))
         for b in range(0, len(Y), step):
-            rows = Y[b : b + step]
+            rows, known = Y[b : b + step], None if sigma is None else sigma[b : b + step]
             coeffs = basis.sliding(rows, hi - lo)
-            lam = _level_threshold(cfg, rows, m, basis.n, hi - lo)
+            lam = _level_threshold(cfg, rows, m, basis.n, hi - lo, known)
             np.matmul(_shrink_in_place(coeffs, lam), basis.weights, out=out[b : b + step, lo:hi])
     return out
 
 
-def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> np.ndarray:
+def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigma) -> np.ndarray:
     """:func:`_prefix_kernel` for Haar, every prefix in one pass over a table
     of dyadic block sums, a chunk of rows (:func:`_rows_per_chunk` of the
     table) at a time.
@@ -166,7 +174,7 @@ def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
     weight = np.zeros(T)
     step = _rows_per_chunk(8 * max(levels, 1) * T)
     for b in range(0, len(Y), step):
-        rows = Y[b : b + step]
+        rows, known = Y[b : b + step], None if sigma is None else sigma[b : b + step]
         details = _scratch(0, (len(rows), levels, T))
         approx, lam = np.zeros(rows.shape), np.zeros(rows.shape)
         sums = rows  # after level m, sums[:, i - m + 1]: the m samples ending at y[i]
@@ -182,8 +190,8 @@ def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray) -> n
             root = n ** -0.5
             np.multiply(sums[:, : hi - lo], (2.0 if fold else 1.0) * root, out=approx[:, lo:hi])
             weight[lo:hi] = root
-            # a float for the level or a column with one value per window
-            lam[:, lo:hi, None] = _level_threshold(cfg, rows, m, n, hi - lo)
+            # a float for the level, or a column with one value per row or per window
+            lam[:, lo:hi, None] = _level_threshold(cfg, rows, m, n, hi - lo, known)
         detail_sum = scale @ _shrink_in_place(details, lam[:, None, :])
         # weight * _shrink(approx, lam) - detail_sum, written over approx
         np.multiply(_shrink_in_place(approx, lam), weight, out=approx)
@@ -204,7 +212,7 @@ def wavelet_prefix_estimates(
     """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T] of
     a series, or of each row of a (B, T) stack of series (shape of y).
     ``sigma`` is a float, ``"mad"``, or a (B, 1) column with one float per
-    row; the rows sharing a sigma are swept together, each sweep with one
+    row; the whole stack is swept at once, a column giving each row its own
     threshold per level.
 
     Each prefix is truncated to its most recent dyadic window, arranged per
@@ -218,11 +226,12 @@ def wavelet_prefix_estimates(
     (``ValueError``).  Each row's estimates are bit-identical to a call
     with that row alone.
     """
-    column = np.ravel(sigma) if np.ndim(sigma) else None
-    # each distinct sigma once, by a dict: np.unique's first call adds ~1.6 MB RSS
-    cfgs = [DenoiseConfig(family=family, sigma=s, delta=delta, lambda_override=lam_override,
-                          boundary=boundary)
-            for s in (dict.fromkeys(column.tolist()) if column is not None else [sigma])]
+    column = np.reshape(sigma, (-1, 1)) if np.ndim(sigma) else None
+    if column is not None:
+        _require_sigma_delta(column, delta)
+    # a column's thresholds come from the column (_level_threshold), the rest from cfg
+    cfg = DenoiseConfig(family=family, sigma=sigma if column is None else 0.0, delta=delta,
+                        lambda_override=lam_override, boundary=boundary)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.ndim not in (1, 2):
         raise LengthMismatch(f"need a series or a (B, T) stack of series, got shape {y.shape}")
@@ -234,13 +243,7 @@ def wavelet_prefix_estimates(
     if column is not None and len(column) != len(Y):
         raise LengthMismatch(f"need one sigma per row, got {len(column)} for {len(Y)} rows")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        if len(cfgs) == 1:
-            out = _prefix_kernel(Y, cfgs[0], np.empty(Y.shape))
-        else:
-            out = np.empty(Y.shape)
-            for cfg in cfgs:
-                rows = column == cfg.sigma
-                out[rows] = _prefix_kernel(Y[rows], cfg, np.empty((np.count_nonzero(rows), T)))
+        out = _prefix_kernel(Y, cfg, np.empty(Y.shape), column)
     if y.ndim == 1:
         _require_finite_output(out[0], lambda i: f"the estimate from y[:{i + 1}]")
     else:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import _require_finite, _require_finite_params, _require_sigma_delta
+from .denoise import _require_finite, _require_sigma_delta
 from .errors import BadWindow
 
 ADAPTIVE_TEST_CONSTANT = 2.0
@@ -169,11 +169,7 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
     Y = y.reshape(-1, y.shape[-1])
     T = Y.shape[1]
     sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), y.shape).reshape(Y.shape)
-    _require_finite_params(sigma=sigma, delta=delta)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not np.all(sigma >= 0):
-        raise ValueError(f"sigma must be nonnegative, got {sigma[~(sigma >= 0)][0]}")
+    _require_sigma_delta(sigma, delta)
 
     centered = Y - Y[:, :1]
     sums = _cumsum0(centered)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .baselines import adaptive_window_sweep, fixed_window_sweep
-from .denoise import (_require_count, _require_finite, _require_finite_params, _require_transform,
-                      default_lambda)
+from .denoise import (_default_threshold, _require_count, _require_finite, _require_finite_params,
+                      _require_sigma_delta, _require_transform)
 from .errors import LengthMismatch, NonFiniteValue, ParseError
 from .wavelets import _SCRATCH_BYTES, support_basis
 
@@ -458,17 +458,14 @@ def bound_profile(
     if n < 2:
         raise LengthMismatch("need at least 2 ground-truth points")
     _require_finite(theta)
-    sigmas = [noise.known_sigma(level) for level in noise.levels]
+    sigmas = np.array([noise.known_sigma(level) for level in noise.levels])[:, None, None]
+    _require_sigma_delta(sigmas, delta)
     values = np.zeros((len(families), len(noise.levels)))
-    count = n - 1  # prefixes t = 2..n
     for fi, family in enumerate(families):
-        totals = np.zeros(len(noise.levels))
         for m, lo, hi in _kernels._levels(n):
             basis = support_basis(family, m, boundary)
-            wts = 6.0 * np.abs(basis.weights)
             coeff_abs = np.abs(basis.sliding(theta, hi - lo))  # (prefixes, |S|)
-            for li, sigma in enumerate(sigmas):
-                lam = default_lambda(sigma, delta, m)
-                totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())
-        values[fi] = totals / count
+            lam = _default_threshold(sigmas, delta, m)  # 0.0, or one per noise level
+            values[fi] += (np.minimum(coeff_abs, lam) @ (6.0 * np.abs(basis.weights))).sum(axis=-1)
+    values /= n - 1  # prefixes t = 2..n
     return BoundProfile(tuple(families), tuple(noise.levels), values)

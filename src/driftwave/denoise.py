@@ -178,13 +178,9 @@ def _require_finite_output(values, name) -> None:
 
 
 def _require_finite_params(**params) -> None:
-    """ValueError naming the first parameter that is NaN or infinite (for an
-    array, its first such entry); None and strings (no override,
-    ``sigma="mad"``) are not numbers to check."""
+    """ValueError naming the first parameter that is NaN or infinite; None
+    and strings (no override, ``sigma="mad"``) are not numbers to check."""
     for name, value in params.items():
-        if isinstance(value, np.ndarray):
-            bad = value[~np.isfinite(value)]
-            value = bad[0] if bad.size else 0.0
         if not isinstance(value, (str, type(None))) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -196,8 +192,13 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _require_sigma_delta(sigma: float, delta: float) -> None:
-    """ValueError unless sigma is finite and >= 0 and delta lies in (0, 1)."""
+def _require_sigma_delta(sigma, delta: float) -> None:
+    """ValueError unless sigma is finite and >= 0 and delta lies in (0, 1).
+    An array sigma is checked as its first bad value (NaN, infinite or
+    negative), in order, would be alone."""
+    if isinstance(sigma, np.ndarray):
+        bad = sigma[~(np.isfinite(sigma) & (sigma >= 0))]
+        sigma = float(bad[0]) if bad.size else 0.0
     _require_finite_params(sigma=sigma, delta=delta)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")

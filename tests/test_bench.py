@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftwave import bench
+from driftwave import _kernels, bench
+from driftwave.baselines import adaptive_window_sweep
 from driftwave.bench import (
     AdaptiveWindowMethod,
     CsvReplayMethod,
@@ -25,8 +27,8 @@ from driftwave.bench import (
     table_text,
 )
 from driftwave.denoise import default_lambda, dyadic_truncate, reflect_fold, sparsity_bound
-from driftwave.errors import LengthMismatch, NonFiniteValue, ParseError
-from driftwave.wavelets import FAMILY_NAMES, cached_matrix, forward, last_column_support
+from driftwave.errors import DomainError, LengthMismatch, NonFiniteValue, ParseError
+from driftwave.wavelets import FAMILY_NAMES, cached_matrix, forward, last_column_support, support_basis
 
 
 class TestSignals:
@@ -314,7 +316,7 @@ class TestStackedTrials:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), B=st.integers(1, 6), T=st.integers(1, 80),
            method=st.sampled_from(range(len(stacked_methods()))),
-           pool=st.lists(st.sampled_from([0.0, 1e-12, 0.05, 0.3, 0.3, 1.0]), min_size=1, max_size=3))
+           pool=st.lists(st.sampled_from([0.0, -0.0, 1e-12, 0.05, 0.3, 0.3, 1.0]), min_size=1, max_size=3))
     def test_sigma_column_rows_match_one_row_calls(self, seed, B, T, method, pool):
         """Row b of a stack with a (B, 1) sigma column is the one-row call
         with sigma[b], byte for byte, for every stacked method."""
@@ -326,11 +328,17 @@ class TestStackedTrials:
         for b in range(B):
             assert got[b].tobytes() == m.prefix_estimates(Y[b], float(sigma[b, 0]), 0.1).tobytes(), b
 
-    @pytest.mark.parametrize("bad", [np.nan, -0.1])
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, np.inf])
     def test_sigma_column_refuses_a_bad_sigma(self, bad):
-        column = np.array([[0.1], [bad], [0.1]])
-        with pytest.raises(ValueError, match="sigma must be"):
-            WaveletMethod("db2").prefix_estimates(np.zeros((3, 16)), column, 0.1)
+        """One sigma check for every stacked path, naming the column's first
+        bad value as a float sigma alone would be named."""
+        message = f"sigma must be {'nonnegative' if bad < 0 else 'finite'}, got {bad}"
+        column, Y = np.array([[0.1], [bad], [0.1], [-0.2]]), np.zeros((4, 16))
+        for run in (lambda: WaveletMethod("db2").prefix_estimates(Y, column, 0.1),
+                    lambda: AdaptiveWindowMethod().prefix_estimates(Y, column, 0.1),
+                    lambda: adaptive_window_sweep(Y, column, 0.1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run()
 
     def test_sigma_column_names_the_row_of_a_bad_observation(self):
         Y = np.zeros((3, 16))
@@ -471,6 +479,36 @@ class TestBoundProfile:
                 lam = default_lambda(noise.known_sigma(level), 0.1, len(window))
                 totals[li] += sparsity_bound(beta, support, lam)
         np.testing.assert_allclose(got, totals / (T - 1), rtol=1e-10, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["doppler", "random_coin", "piecewise_constant"]),
+        n=st.sampled_from([2, 3, 64, 500]), family=st.sampled_from(["haar", "db4", "db8"]),
+        boundary=st.sampled_from(["reflect", "periodic"]), seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.2, 0.3, 1.0]), min_size=1, max_size=5),
+    )
+    def test_bytes_match_one_product_per_noise_level(self, kind, n, family, boundary, seed, levels):
+        """Every noise level thresholded at once has the bytes of one
+        product per level and noise level, each at its own default_lambda."""
+        theta = generate_signal(SignalSpec(kind, n), seed)
+        noise = NoiseSpec("uniform", tuple(levels))
+        got = bound_profile(theta, noise, (family,), delta=0.1, boundary=boundary).values[0]
+        totals = np.zeros(len(levels))
+        for m, lo, hi in _kernels._levels(n):
+            basis = support_basis(family, m, boundary)
+            wts = 6.0 * np.abs(basis.weights)
+            coeff_abs = np.abs(basis.sliding(theta, hi - lo))
+            for li, level in enumerate(levels):
+                lam = default_lambda(noise.known_sigma(level), 0.1, m)
+                totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())
+        assert got.tobytes() == (totals / (n - 1)).tobytes()
+
+    def test_undefined_threshold_only_with_noise(self):
+        # ln(2)/0.8 < 1: the first window size has no threshold but for sigma 0
+        theta = generate_signal(SignalSpec("doppler", 64), 0)
+        with pytest.raises(DomainError, match="<= 1 leaves the threshold undefined"):
+            bound_profile(theta, NoiseSpec("uniform", (0.0, 0.3)), ("haar",), delta=0.8)
+        assert bound_profile(theta, NoiseSpec("uniform", (0.0,)), ("haar",), delta=0.8).values.max() == 0.0
 
     def test_zero_noise_zero_bound(self):
         theta = generate_signal(SignalSpec("doppler", 128), 0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from driftwave.denoise import (
     MAD_SCALE,
     DenoiseConfig,
     _mad_rows,
+    _require_sigma_delta,
     _shrink,
     bound_report,
     default_lambda,
@@ -24,7 +26,7 @@ from driftwave.denoise import (
     tv_variational_bound,
 )
 from driftwave._kernels import _shrink_in_place, wavelet_prefix_estimates
-from driftwave.baselines import adaptive_window_mean
+from driftwave.baselines import adaptive_window_mean, adaptive_window_sweep
 from driftwave.bench import NoiseSpec, SignalSpec
 from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.selection import LossSeries, select
@@ -479,6 +481,12 @@ _PARAMETER_CALLS = {
     "default_lambda delta": lambda v: default_lambda(1.0, v, 16),
     "prefix sigma": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma=v, delta=0.1),
     "prefix delta": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma="mad", delta=v),
+    "prefix column sigma": lambda v: wavelet_prefix_estimates(
+        np.stack([_THETA] * 3), "db4", sigma=np.array([[0.1], [v], [0.1]]), delta=0.1
+    ),
+    "adaptive sweep column sigma": lambda v: adaptive_window_sweep(
+        np.stack([_THETA] * 3), np.array([[0.1], [v], [0.1]]), 0.1
+    ),
     "prefix lambda": lambda v: wavelet_prefix_estimates(
         _THETA, "db4", sigma=0.1, delta=0.1, lam_override=v
     ),
@@ -520,6 +528,16 @@ class TestOutOfRangeParameters:
     def test_negative_sigma(self, where):
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
             _PARAMETER_CALLS[where](-1.0)
+
+    @pytest.mark.parametrize("column, message", [
+        ([0.1, -0.1, math.nan], "sigma must be nonnegative, got -0.1"),
+        ([0.1, math.nan, -0.1], "sigma must be finite, got nan"),
+        ([0.0, -0.0, -math.inf, 2.0], "sigma must be finite, got -inf"),
+    ])
+    def test_sigma_array_names_its_first_bad_value(self, column, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_sigma_delta(np.array(column)[:, None], 0.1)
+        _require_sigma_delta(np.array([[0.0], [-0.0], [3.5]]), 0.1)
 
     @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if k.endswith("delta")))
     @pytest.mark.parametrize("bad", [-0.1, 0.0, 1.0, 1.5])

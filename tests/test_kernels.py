@@ -302,7 +302,7 @@ class TestStacked:
             wavelet_prefix_estimates(Y[1], family, sigma=sigma, delta=0.1)
 
     def test_sigma_column_names_the_row_in_the_stack(self):
-        # row 1 is the first row of the rows swept with sigma 0.1
+        # the whole stack is one sweep, so the error names row 1 of the stack
         Y = np.zeros((3, 8))
         Y[1] = 1e308
         column = np.array([[0.3], [0.1], [0.1]])
@@ -310,6 +310,55 @@ class TestStacked:
             wavelet_prefix_estimates(Y, "db4", sigma=column, delta=0.1)
         with pytest.raises(LengthMismatch, match="one sigma per row"):
             wavelet_prefix_estimates(Y, "db4", sigma=column[:2], delta=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["haar", "db4", "db8"]),
+        boundary=st.sampled_from(["reflect", "periodic"]),
+        lam=st.sampled_from([None, 0.0, 0.5]),
+        T=st.one_of(st.integers(1, 300), st.sampled_from([512, 1025])),
+        pool=st.lists(st.sampled_from([0.0, -0.0, 1e-12, 0.05, 0.3, 1.0]), min_size=1, max_size=4),
+        B=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sigma_column_rows_match_one_row_calls(self, family, boundary, lam, T, pool, B, seed):
+        """A (B, 1) sigma column thresholds each row by its own sigma in one
+        sweep: row b has the bytes of the one-row call with sigma[b]."""
+        rng = np.random.default_rng(seed)
+        Y = stack_rows(rng, rng.choice(["noisy", "constant", "offset"], B), T)
+        column = rng.choice(pool, (B, 1))
+        kw = dict(lam_override=lam, delta=0.1, boundary=boundary)
+        got = wavelet_prefix_estimates(Y, family, sigma=column, **kw)
+        for b in range(B):
+            want = wavelet_prefix_estimates(Y[b], family, sigma=float(column[b, 0]), **kw)
+            assert got[b].tobytes() == want.tobytes(), b
+
+    def test_sigma_column_is_one_sweep(self, monkeypatch):
+        """Five distinct sigmas in a (25, 500) db8 stack correlate as many
+        chunks as one sigma does: the stack is not split by sigma."""
+        calls = []
+        cls = type(support_basis("db8", 2, "reflect"))
+        sliding = cls.sliding
+        monkeypatch.setattr(cls, "sliding", lambda self, *a: calls.append(len(a[0])) or sliding(self, *a))
+        Y = np.random.default_rng(0).normal(0.0, 0.3, (25, 500))
+        counts = []
+        for column in (np.full((25, 1), 0.3), np.repeat([0.1, 0.2, 0.3, 0.4, 0.5], 5)[:, None]):
+            calls.clear()
+            wavelet_prefix_estimates(Y, "db8", sigma=column, delta=0.1)
+            counts.append(len(calls))
+        assert counts[0] >= len(_levels(500))
+        assert counts[1] == counts[0]
+
+    def test_zero_sigma_rows_with_an_undefined_threshold(self):
+        """At delta = 0.8, ln(2)/delta < 1 leaves the threshold of the first
+        level undefined: a column with any nonzero sigma raises DomainError,
+        as a call with that sigma alone does, and an all-zero column needs no
+        threshold."""
+        Y = np.random.default_rng(1).normal(0.0, 0.3, (4, 32))
+        with pytest.raises(DomainError, match=r"^ln\(n\)/delta = 0.866434 <= 1 leaves"):
+            wavelet_prefix_estimates(Y, "db4", sigma=np.array([[0.0], [0.3], [0.0], [0.3]]), delta=0.8)
+        got = wavelet_prefix_estimates(Y, "db4", sigma=np.zeros((4, 1)), delta=0.8)
+        assert got.tobytes() == wavelet_prefix_estimates(Y, "db4", sigma=0.0, delta=0.8).tobytes()
 
     def test_overflow_warns_nothing(self):
         y = np.array([1e308, -1e308] * 4)
