@@ -71,17 +71,21 @@ class ScalingFit(Table):
         ]
 
 
-def risk(estimates: np.ndarray, truth: np.ndarray, kind: str) -> float:
-    """Summed estimation risk: squared ("sq") or absolute ("abs") deviations."""
+def risk(estimates: np.ndarray, truth: np.ndarray, kind: str) -> float | np.ndarray:
+    """Summed estimation risk along the last axis: squared ("sq") or absolute
+    ("abs") deviations.  A float for one series, an array of one risk per
+    series for a stack."""
     estimates = np.asarray(estimates, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimates.shape != truth.shape:
         raise LengthMismatch(f"shape mismatch: {estimates.shape} vs {truth.shape}")
-    if kind == "sq":
-        return float(np.sum((estimates - truth) ** 2))
-    if kind == "abs":
-        return float(np.sum(np.abs(estimates - truth)))
-    raise ValueError(f"risk kind must be 'sq' or 'abs', got {kind!r}")
+    if kind not in ("sq", "abs"):
+        raise ValueError(f"risk kind must be 'sq' or 'abs', got {kind!r}")
+    # one temporary, squared or made absolute in place
+    dev = np.subtract(estimates, truth)
+    (np.square if kind == "sq" else np.abs)(dev, out=dev)
+    total = np.sum(dev, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _fit_loglog(n_grid: np.ndarray, means: np.ndarray) -> tuple[float, float]:
@@ -110,8 +114,9 @@ def run_tv_study(spec: TVStudySpec, base_seed: int) -> ScalingFit:
                 theta[row] = _piecewise_constant_tv(n, spec.tv_radius, rng)
                 y[row] = theta[row] + rng.normal(0.0, spec.sigma, n)
             est = prefix_rows(estimator, y, spec.sigma, spec.delta)
-            for row, trial in enumerate(chunk):
-                per_n[i, trial] = risk(est[row], theta[row], "sq"), risk(est[row], theta[row], "abs")
+            del y  # swept: the risks' deviations can take its memory
+            per_n[i, chunk, 0] = risk(est, theta, "sq")
+            per_n[i, chunk, 1] = risk(est, theta, "abs")
     mean = per_n.mean(axis=1)
     std = per_n.std(axis=1, ddof=1) if spec.trials > 1 else np.zeros_like(mean)
     exp_sq, int_sq = _fit_loglog(np.array(grid, dtype=float), mean[:, 0])

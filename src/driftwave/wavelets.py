@@ -15,7 +15,7 @@ O(|S| m log m) rather than O(|S| m**2); its FFT product and lags are
 written into two scratch buffers that each thread keeps for reuse
 (:func:`_scratch`), so a sweep allocates no large temporaries.  The MAD
 noise scale's finest-level coefficients need only the high-pass taps:
-:func:`finest` takes the family.
+:func:`finest` is the first high-pass step of :func:`pyramid_analysis`.
 
 Row order, shared by both: the single approximation row first, then detail
 rows coarse-to-fine; within a level, positions run left to right (oldest to
@@ -337,18 +337,40 @@ def _check_length(n: int) -> None:
         raise NonPowerOfTwo(f"transform length must be 2**k with k >= 1, got {n}")
 
 
-def _filter_down(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Periodized filter-and-decimate along the last axis.
+def _filter_down(taps: np.ndarray, *pieces: np.ndarray) -> np.ndarray:
+    """Periodized filter-and-decimate of the vector x that the ``pieces``
+    make laid end to end along their last axis (their leading axes, the
+    same for every piece, are kept): out[..., i] = sum_l taps[l] *
+    x[..., (2i + l) % m], the rows of one block of :func:`_analysis_pair`
+    applied to x, taps wrapping as often as needed.
 
-    out[..., i] = sum_l taps[l] * x[..., (2i + l) % m]: the rows of one block
-    of :func:`_analysis_pair` applied to x, taps wrapping as often as needed.
-    """
-    m = x.shape[-1]
-    ext = x[..., np.arange(m + len(taps) - 2) % m]
-    out = taps[0] * ext[..., 0 : m - 1 : 2]
-    for l in range(1, len(taps)):
-        out += taps[l] * ext[..., l : l + m - 1 : 2]
-    return out
+    The pieces and their wrap (as many periods as the taps need) are
+    written into one buffer; one strided view of it holds samples 2i ..
+    2i + L - 1 as row i, so one product with the taps gives every output."""
+    lead = pieces[0].shape[:-1]
+    m = sum(piece.shape[-1] for piece in pieces)
+    # numpy hands a lone vector to BLAS, which rounds differently from a
+    # stack: it goes through as row 0 of a stack of two
+    stack = (2,) if math.prod(lead) == 1 else lead
+    # numpy hands a lone output row to its dot: at least two are formed
+    count = max(m // 2, 2)
+    # the sample axis outermost in memory makes numpy sum each output in
+    # tap order, as a loop over the taps would
+    buf = np.empty((2 * count + len(taps) - 2,) + stack[::-1])
+    ext = buf.T
+    start = 0
+    for piece in pieces:
+        ext[..., start : start + piece.shape[-1]] = piece
+        start += piece.shape[-1]
+    for start in range(m, ext.shape[-1], m):
+        stop = min(start + m, ext.shape[-1])
+        ext[..., start:stop] = ext[..., : stop - start]
+    step = ext.strides[-1]
+    rows = np.ndarray(
+        stack + (count, len(taps)), buffer=buf, strides=ext.strides[:-1] + (2 * step, step)
+    )
+    out = (rows @ taps)[..., : m // 2]
+    return out if stack == lead else out[0].reshape(lead + (-1,))
 
 
 def _filter_up(
@@ -376,8 +398,8 @@ def pyramid_analysis(family: WaveletFamily, x: np.ndarray) -> np.ndarray:
     details = []  # finest first
     approx = x
     while approx.shape[-1] >= 2:
-        details.append(_filter_down(approx, g))
-        approx = _filter_down(approx, h)
+        details.append(_filter_down(g, approx))
+        approx = _filter_down(h, approx)
     return np.concatenate([approx] + details[::-1], axis=-1)
 
 
@@ -501,38 +523,9 @@ def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndar
     """Finest-level detail coefficients (the last n/2 of a transform of
     length n) of each window along the last axis, any leading axes kept,
     arranged per ``boundary`` (the reflect fold, or the window itself under
-    periodic).
-
-    The periodized vector (the reflect fold or the window itself) and its
-    wrap, L - 2 samples for L taps (several periods when the filter is
-    longer than the vector), are written into one buffer; one strided view
-    of it holds samples 2i .. 2i + L - 1 as row i, so one product with the
-    high-pass taps gives every coefficient.  The buffer keeps the sample
-    axis outermost in memory, the layout these coefficients' rounding was
-    fixed with: a window-major buffer rounds some of them differently in
-    the last bit, and so does one window alone (numpy hands its rows to
-    BLAS), which is therefore row 0 of a stack of two."""
-    g = family.highpass
-    w = windows.shape[-1]
-    if math.prod(windows.shape[:-1]) == 1:
-        pair = np.broadcast_to(windows.reshape(1, w), (2, w))
-        return finest(family, pair, boundary)[0].reshape(windows.shape[:-1] + (-1,))
-    fold = boundary == "reflect"
-    m = 2 * w if fold else w
-    buf = np.empty((m + len(g) - 2,) + windows.shape[-2::-1])
-    ext = buf.T
-    if fold:
-        ext[..., :w] = windows[..., ::-1]
-    ext[..., m - w : m] = windows
-    for start in range(m, ext.shape[-1], m):
-        stop = min(start + m, ext.shape[-1])
-        ext[..., start:stop] = ext[..., : stop - start]
-    step = ext.strides[-1]
-    rows = np.ndarray(
-        ext.shape[:-1] + (m // 2, len(g)), buffer=buf,
-        strides=ext.strides[:-1] + (2 * step, step),
-    )
-    return rows @ g
+    periodic): the first high-pass step of :func:`pyramid_analysis`."""
+    pieces = (windows[..., ::-1], windows) if boundary == "reflect" else (windows,)
+    return _filter_down(family.highpass, *pieces)
 
 
 @lru_cache(maxsize=64)

@@ -145,20 +145,56 @@ class TestBasisMatchesDense:
         """The MAD sigma's input, bit for bit: the periodized vector gathered
         by index, as sliding windows, times the high-pass taps.  One window
         is gathered as row 0 of two: alone, its windows would be one BLAS
-        matrix-vector product, which rounds differently from a stack."""
+        matrix-vector product, which rounds differently from a stack.  A
+        transform of length 2 has one finest coefficient, which one product
+        alone would hand to a BLAS dot; there the pyramid's finest half is
+        the oracle."""
         fold = boundary == "reflect"
         w = 1 << k
         if not fold and w < 2:
             return
         x = drifting_series(seed, rows * w).reshape(rows, w)
+        got = finest(get_family(family), x, boundary)
+        if (2 * w if fold else w) == 2:
+            vec = np.concatenate([x[:, ::-1], x], axis=1) if fold else x
+            assert got.tobytes() == pyramid_analysis(get_family(family), vec)[:, 1:].tobytes()
+            return
         gathered = np.concatenate([x, x]) if rows == 1 else x
         vec = np.concatenate([gathered[:, ::-1], gathered], axis=1) if fold else gathered
         g = get_family(family).highpass
         m = vec.shape[1]
         ext = vec[:, np.arange(m + len(g) - 2) % m]
         want = (np.lib.stride_tricks.sliding_window_view(ext, len(g), axis=-1)[:, ::2, :] @ g)[:rows]
-        got = finest(get_family(family), x, boundary)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_finest_is_the_pyramids_first_step(self, family, boundary):
+        """finest's bits are the finest half of the pyramid analysis of the
+        arranged windows: one window alone or 1 to 8 stacked, n = 2 .. 2048."""
+        fam = get_family(family)
+        rng = np.random.default_rng(5)
+        for n in DENSE_SIZES:
+            w = n // 2 if boundary == "reflect" else n
+            for shape in [(w,)] + [(rows, w) for rows in range(1, 9)]:
+                x = rng.normal(size=shape)
+                vec = np.concatenate([x[..., ::-1], x], axis=-1) if boundary == "reflect" else x
+                want = pyramid_analysis(fam, vec)[..., n // 2 :]
+                got = finest(fam, x, boundary)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, shape)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_pyramid_rows_do_not_depend_on_the_stack(self, family):
+        """Every row of a stack of 1 to 8 transforms to the bytes it gets
+        alone, at every position, down to the one-output level m = 2."""
+        fam = get_family(family)
+        rng = np.random.default_rng(6)
+        for n in (2, 4, 16, 256):
+            for rows in range(1, 9):
+                x = rng.normal(size=(rows, n))
+                stacked = pyramid_analysis(fam, x)
+                for b in range(rows):
+                    assert stacked[b].tobytes() == pyramid_analysis(fam, x[b]).tobytes(), (n, rows, b)
 
     @pytest.mark.parametrize("family", ["haar", "db2", "db8"])
     @pytest.mark.parametrize("n", [2, 4, 16, 256])

@@ -41,6 +41,17 @@ class TestRisk:
             b = risk(est + shift, truth + shift, kind)
             assert abs(a - b) <= 1e-9 * max(1.0, a)
 
+    def test_stack_scores_each_row_as_alone(self):
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 17, 256, 4096):
+            for rows in (1, 3, 10):
+                est, truth = rng.normal(size=(rows, n)), rng.normal(size=(rows, n))
+                for kind in ("sq", "abs"):
+                    stacked = risk(est, truth, kind)
+                    alone = [risk(e, t, kind) for e, t in zip(est, truth)]
+                    assert isinstance(alone[0], float) and stacked.shape == (rows,)
+                    assert stacked.tobytes() == np.array(alone).tobytes()
+
     def test_sq_dominated_by_max_error_times_abs(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
