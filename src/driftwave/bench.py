@@ -163,6 +163,7 @@ class WaveletMethod:
     def __init__(self, family: str, sigma_mode: str = "known", name: str | None = None):
         if sigma_mode not in ("known", "mad"):
             raise ValueError(f"sigma_mode must be 'known' or 'mad', got {sigma_mode!r}")
+        _require_transform(self.boundary, family)
         self.family = family
         self.sigma_mode = sigma_mode
         self.name = name or (family if sigma_mode == "known" else f"{family}_mad")
@@ -291,7 +292,12 @@ def load_estimates_csv(stream) -> np.ndarray:
 
 
 def make_method(spec: dict):
-    """Build a method from its spec-file form (see README for the schema)."""
+    """Build a method from its spec-file form (see README for the schema).
+    A spec that is not a dict, or a missing or wrong-typed field, raises
+    ``ValueError``, ``KeyError`` or ``TypeError``; a csv path is checked
+    before its file is opened."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a method spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "wavelet":
         return WaveletMethod(
@@ -304,9 +310,13 @@ def make_method(spec: dict):
     if kind == "passthrough":
         return PassthroughMethod()
     if kind == "csv":
-        with open(spec["path"], "rb") as fh:
+        path = spec["path"]
+        # open() takes an int as a file descriptor: True would read, then close, stdout
+        if not isinstance(path, str):
+            raise ValueError(f"a csv method's path must be a string, got {path!r}")
+        with open(path, "rb") as fh:
             estimates = load_estimates_csv(io.StringIO(decode_text(fh.read()), newline=""))
-        return CsvReplayMethod(spec.get("name", spec["path"]), estimates)
+        return CsvReplayMethod(spec.get("name", path), estimates)
     raise ValueError(f"unknown method kind {kind!r}")
 
 

@@ -4,8 +4,11 @@ Every subcommand is a pure function of its input files, flags and --seed;
 repeated invocations emit byte-identical output.  bench, tvscale and bounds
 print a report's table (a header plus rows): --format csv and --format json
 carry the same rows, and every float cell prints as a Python float (so a
-noise level given as 1 prints as 1.0 in both).  Exit codes: 0 success,
-2 input error (unreadable or malformed data), 3 configuration error.
+noise level given as 1 prints as 1.0 in both).  Each subcommand returns its
+text and :func:`main` alone writes it, to --out or stdout, and maps errors to
+exit codes: 0 success; 3 configuration error (a ValueError, KeyError,
+TypeError or DomainError: a bad flag or spec value); 2 input error (any other
+DriftwaveError, or a file that is missing, a directory or not readable).
 Every text input is read as UTF-8; a leading byte-order mark is dropped.
 The environment variable DRIFTWAVE_LOG sets the log level, nothing else.
 """
@@ -33,12 +36,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
-# Every library error other than DomainError is a problem with the input.
+# A bad flag or spec value; every other library error is a problem with the input.
+_CONFIG_ERRORS = (ValueError, KeyError, TypeError, DomainError)
 _INPUT_ERRORS = (DriftwaveError, FileNotFoundError, IsADirectoryError, PermissionError)
-
-
-class _ConfigError(Exception):
-    pass
 
 
 def _read_text(path: str) -> str:
@@ -79,131 +79,110 @@ def _parse_sigma(text: str):
     try:
         return float(text)
     except ValueError:
-        raise _ConfigError(f"--sigma must be a number or 'mad', got {text!r}") from None
+        raise ValueError(f"--sigma must be a number or 'mad', got {text!r}") from None
 
 
 def _denoise_config(args) -> DenoiseConfig:
-    try:
-        return DenoiseConfig(
-            family=args.family,
-            sigma=_parse_sigma(args.sigma),
-            delta=args.delta,
-            lambda_override=args.lambda_override,
-            boundary=args.boundary,
-        )
-    except (ValueError, KeyError) as exc:
-        raise _ConfigError(str(exc)) from exc
+    return DenoiseConfig(
+        family=args.family,
+        sigma=_parse_sigma(args.sigma),
+        delta=args.delta,
+        lambda_override=args.lambda_override,
+        boundary=args.boundary,
+    )
 
 
 def _load_spec(path: str) -> dict:
     try:
         spec = json.loads(_read_text(path))
     except (ParseError, json.JSONDecodeError) as exc:
-        raise _ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(spec, dict):
-        raise _ConfigError(f"{path}: spec must be a JSON object")
+        raise ValueError(f"{path}: spec must be a JSON object")
     return spec
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _require_seed(args):
     if args.seed is None:
-        raise _ConfigError("--seed is required for stochastic subcommands")
+        raise ValueError("--seed is required for stochastic subcommands")
 
 
 def _signal_from_spec(spec: dict) -> SignalSpec:
     try:
         return SignalSpec(**spec)
     except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad signal spec: {exc}") from exc
+        raise ValueError(f"bad signal spec: {exc}") from exc
 
 
-def _noise_from_spec(spec: dict) -> NoiseSpec:
+def _noise_from_spec(spec) -> NoiseSpec:
+    if not isinstance(spec, dict):
+        raise ValueError(f"bad noise spec: expected a JSON object, got {spec!r}")
     try:
         return NoiseSpec(kind=spec.get("kind", "uniform"), levels=tuple(spec["levels"]))
     except (TypeError, ValueError, KeyError) as exc:
-        raise _ConfigError(f"bad noise spec: {exc}") from exc
+        raise ValueError(f"bad noise spec: {exc}") from exc
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> str:
     cfg = _denoise_config(args)
     y = _read_series(args.series)
     est = estimate_latest(y, cfg)
-    _emit(json.dumps(dataclasses.asdict(est), indent=2) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(dataclasses.asdict(est), indent=2) + "\n"
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args) -> str:
     cfg = _denoise_config(args)
     y = _read_series(args.series)
     values = denoise_signal(y, cfg)
     t_start = len(y) - len(values) + 1
     if args.format == "json":
         payload = {"t": list(range(t_start, len(y) + 1)), "values": [float(v) for v in values]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [(t_start + i, float(v)) for i, v in enumerate(values)]
-        _emit(table_text(("t", "value"), rows, "csv"), args.out)
-    return EXIT_OK
+        return json.dumps(payload, indent=2) + "\n"
+    rows = [(t_start + i, float(v)) for i, v in enumerate(values)]
+    return table_text(("t", "value"), rows, "csv")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     _require_seed(args)
     spec = _load_spec(args.spec)
     signal = _signal_from_spec(spec.get("signal", {}))
     noise = _noise_from_spec(spec.get("noise", {}))
-    try:
-        trials = args.trials if args.trials is not None else spec.get("trials", 5)
-        methods = [make_method(m) for m in spec.get("methods", [])]
-        report = run_online_eval(
-            signal,
-            noise,
-            methods,
-            trials=trials,
-            base_seed=args.seed,
-            delta=float(spec.get("delta", 0.1)),
-        )
-    except (TypeError, ValueError, KeyError) as exc:
-        raise _ConfigError(str(exc)) from exc
-    _emit(report.to_text(args.format), args.out)
-    return EXIT_OK
+    trials = args.trials if args.trials is not None else spec.get("trials", 5)
+    methods = [make_method(m) for m in spec.get("methods", [])]
+    report = run_online_eval(
+        signal,
+        noise,
+        methods,
+        trials=trials,
+        base_seed=args.seed,
+        delta=float(spec.get("delta", 0.1)),
+    )
+    return report.to_text(args.format)
 
 
-def cmd_tvscale(args) -> int:
+def cmd_tvscale(args) -> str:
     _require_seed(args)
     raw = _load_spec(args.spec)
-    try:
-        spec = TVStudySpec(
-            tv_radius=float(raw["tv_radius"]),
-            sigma=float(raw["sigma"]),
-            n_grid=tuple(raw["n_grid"]),
-            trials=raw.get("trials", 10),
-            estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
-            delta=float(raw.get("delta", 0.1)),
-        )
-        fit = run_tv_study(spec, base_seed=args.seed)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise _ConfigError(str(exc)) from exc
-    _emit(fit.to_text(args.format), args.out)
-    return EXIT_OK
+    spec = TVStudySpec(
+        tv_radius=float(raw["tv_radius"]),
+        sigma=float(raw["sigma"]),
+        n_grid=tuple(raw["n_grid"]),
+        trials=raw.get("trials", 10),
+        estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
+        delta=float(raw.get("delta", 0.1)),
+    )
+    fit = run_tv_study(spec, base_seed=args.seed)
+    return fit.to_text(args.format)
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> str:
     cfg = _denoise_config(args)
     panel = ingest_panel(io.StringIO(_read_text(args.panel)))
     result = select(panel, cfg, clamp=args.clamp)
-    _emit(result.to_json() + "\n", args.out)
-    return EXIT_OK
+    return result.to_json() + "\n"
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     spec = _load_spec(args.spec)
     signal = _signal_from_spec(spec.get("signal", {}))
     noise = _noise_from_spec(spec.get("noise", {}))
@@ -211,16 +190,12 @@ def cmd_bounds(args) -> int:
         _require_seed(args)
     theta = generate_signal(signal, args.seed if args.seed is not None else 0)
     families = tuple(spec.get("families", ("haar", "db8")))
-    try:
-        profile = bound_profile(
-            theta, noise, families,
-            delta=float(spec.get("delta", 0.1)),
-            boundary=spec.get("boundary", "reflect"),
-        )
-    except (ValueError, KeyError) as exc:
-        raise _ConfigError(str(exc)) from exc
-    _emit(profile.to_text(args.format), args.out)
-    return EXIT_OK
+    profile = bound_profile(
+        theta, noise, families,
+        delta=float(spec.get("delta", 0.1)),
+        boundary=spec.get("boundary", "reflect"),
+    )
+    return profile.to_text(args.format)
 
 
 def _add_denoise_flags(p: argparse.ArgumentParser):
@@ -288,13 +263,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (_ConfigError, DomainError) as exc:
+        text = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except _CONFIG_ERRORS as exc:
         print(f"driftwave: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _INPUT_ERRORS as exc:
         print(f"driftwave: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

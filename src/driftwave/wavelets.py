@@ -155,12 +155,14 @@ def _require_budget(what: str, need: int, held: int = 0) -> None:
 # Largest scratch array kept per thread for reuse.  glibc may hand a freed
 # block of this size back to the operating system (unmapped, or trimmed off
 # the heap, depending on what the process freed before), and then a sweep
-# that allocates its FFT product and lags afresh faults their pages back in
-# at every level: ~120 minor faults per db8 sweep of the 500-sample paper
-# tables.  1 MiB holds each of the two at every db8 level up to windows of
-# 512 (series of up to 1023 samples) and the Haar block-sum table of a
-# 2048-sample series; larger requests allocate per call, so a long horizon
-# does not keep its largest level's buffers.
+# that allocates its buffers afresh faults their pages back in.  Allocated
+# per call, the db8 product and lags faulted ~110 pages per row of the
+# paper tables' (25, 500) stacks, and the Haar sweeps 5-9 per horizon and
+# trial of the tvscale flow's (10, 256..2048) stacks, at some lengths of
+# the package's path.  1 MiB holds the FFT product and the lags at every
+# db8 level up to windows of 512 (series of up to 1023 samples) and the
+# Haar block-sum table of a 2048-sample series; larger requests allocate
+# per call, so a long horizon does not keep its largest level's buffers.
 _SCRATCH_BYTES = 1 << 20
 
 _kept = threading.local()
@@ -199,8 +201,9 @@ class WaveletFamily:
 
 def get_family(name: str) -> WaveletFamily:
     """The family named ``name`` (case-insensitive; ``db1`` is Haar).  Each
-    family is built once, so every caller shares its tap arrays."""
-    key = name.lower()
+    family is built once, so every caller shares its tap arrays.  A name
+    that is not a known family, or not a string, raises ``KeyError``."""
+    key = name.lower() if isinstance(name, str) else None
     if key == "db1":
         key = "haar"
     if key not in _FILTERS:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import tracemalloc
 
@@ -435,6 +436,25 @@ class TestMakeMethod:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_method({"kind": "kalman"})
+
+    @pytest.mark.parametrize("spec", [5, "wavelet", ["wavelet"], None])
+    def test_spec_must_be_a_dict(self, spec):
+        with pytest.raises(ValueError, match="method spec must be a JSON object"):
+            make_method(spec)
+
+    @pytest.mark.parametrize("family", [5, None, "db9"])
+    def test_wavelet_family_checked_when_built(self, family):
+        with pytest.raises(ValueError, match="unknown wavelet family"):
+            make_method({"kind": "wavelet", "family": family})
+        with pytest.raises(ValueError, match="unknown wavelet family"):
+            WaveletMethod(family)
+
+    @pytest.mark.parametrize("path", [True, 1, 0])
+    def test_replay_path_must_be_a_string(self, path):
+        # open() reads an int as a file descriptor, and closes it after
+        with pytest.raises(ValueError, match="path must be a string"):
+            make_method({"kind": "csv", "path": path})
+        os.fstat(1)
 
 
 class TestBoundProfile:

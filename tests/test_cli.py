@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import driftwave
+from driftwave import cli
 from driftwave.bench import NoiseSpec, SignalSpec, bound_profile, generate_signal, make_method, run_online_eval
 from driftwave.cli import build_parser
 from driftwave.denoise import DenoiseConfig, estimate_latest
@@ -32,8 +34,31 @@ def run_python(*argv, stdin=None):
     )
 
 
-def run_cli(*argv, stdin=None):
+def run_child(*argv, stdin=None):
+    """``python -m driftwave`` in a child interpreter, for what only a child
+    shows: the entry point and its exit code, numpy's warnings on stderr,
+    and logging's handler bound to the real stderr."""
     return run_python("-m", "driftwave", *argv, stdin=stdin)
+
+
+def run_cli(*argv, stdin=None):
+    """``driftwave`` run by ``cli.main`` in this process, with stdin, stdout
+    and stderr in memory: the CompletedProcess :func:`run_child` gives for
+    the same arguments, argparse's SystemExit as the return code."""
+    data = stdin if isinstance(stdin, bytes) else (stdin or "").encode()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    out, err = out.getvalue(), err.getvalue()
+    if isinstance(stdin, bytes):
+        out, err = out.encode(), err.encode()
+    return subprocess.CompletedProcess(argv, code, out, err)
 
 
 def test_import_starts_no_executor_machinery():
@@ -93,7 +118,7 @@ class TestEstimate:
     def test_config_error_printed_once(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("1.0\n2.0\n3.0\n")
-        proc = run_cli("estimate", str(path), "--sigma", "foo")
+        proc = run_child("estimate", str(path), "--sigma", "foo")
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "driftwave: config error: --sigma must be a number or 'mad', got 'foo'"
@@ -137,7 +162,7 @@ def test_overflow_is_one_line_input_error(tmp_path, command):
     CLI's one error line."""
     path = tmp_path / "big.txt"
     path.write_text("1e308\n" * 8)
-    proc = run_cli(command, str(path), "--family", "db4")
+    proc = run_child(command, str(path), "--family", "db4")
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("driftwave: input error: ")
@@ -361,6 +386,32 @@ class TestBounds:
         assert run_cli("bounds", str(path), "--seed", "5").returncode == 0
 
 
+_BOUNDS = {"signal": {"kind": "doppler", "n_points": 32}, "noise": {"levels": [0.2]}}
+_BENCH = {**_BOUNDS, "trials": 1}
+_TVSCALE = {"tv_radius": 1.0, "sigma": 0.5, "n_grid": [32], "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    [
+        pytest.param("bounds", {**_BOUNDS, "families": ["haar", 5]}, id="bounds-family-5"),
+        pytest.param("bounds", {**_BOUNDS, "families": 5}, id="bounds-families-5"),
+        pytest.param("bounds", {**_BOUNDS, "noise": 5}, id="bounds-noise-5"),
+        pytest.param("bench", {**_BENCH, "methods": [5]}, id="bench-method-5"),
+        pytest.param("bench", {**_BENCH, "methods": [{"kind": "wavelet", "family": 5}]}, id="bench-family-5"),
+        pytest.param("tvscale", {**_TVSCALE, "estimator": {"kind": "wavelet", "family": 5}},
+                     id="tvscale-family-5"),
+    ],
+)
+def test_wrong_typed_spec_value_is_one_line_config_error(tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: config error: ")
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path):
         series = tmp_path / "s.txt"
@@ -413,7 +464,7 @@ class TestTextInput:
         assert (got.returncode, got.stdout) == (0, want.stdout)
 
     def test_bom_on_stdin(self):
-        want, got = (run_cli("denoise", "-", "--sigma", "0.1", stdin=data)
+        want, got = (run_child("denoise", "-", "--sigma", "0.1", stdin=data)
                      for data in (SERIES, BOM + SERIES))
         assert want.returncode == 0, want.stderr
         assert (got.returncode, got.stdout) == (0, want.stdout)

@@ -465,6 +465,8 @@ class TestHelpers:
             DenoiseConfig(lambda_override=-1.0)
         with pytest.raises(ValueError, match="unknown wavelet family 'db9'"):
             DenoiseConfig(family="db9")
+        with pytest.raises(ValueError, match="unknown wavelet family 5"):
+            DenoiseConfig(family=5)
         with pytest.raises(ValueError):
             DenoiseConfig(boundary="zero")
 

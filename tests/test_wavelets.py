@@ -71,8 +71,9 @@ class TestFilters:
                 taps[0] = 0.0
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError):
-            get_family("sym4")
+        for name in ("sym4", 5, None, b"haar"):
+            with pytest.raises(KeyError, match="unknown wavelet family"):
+                get_family(name)
 
 
 class TestBuildMatrix:
