@@ -2,8 +2,8 @@
 
 The benchmark harnesses evaluate the wavelet estimator on every prefix of an
 observation sequence, which dominates their runtime.  Prefixes sharing a
-dyadic window size m are evaluated together against the cached
-:class:`~driftwave.wavelets.SupportBasis` of that size and boundary: one FFT
+dyadic window size m are evaluated together against the cached reflect
+:class:`~driftwave.wavelets.SupportBasis` of that size: one FFT
 correlation of the series with its |S| support rows gives the support
 coefficients of all (at most m) windows of the level, then a soft threshold
 and a dot with the newest-sample weights.  That is O(|S| m log m) work per
@@ -12,11 +12,19 @@ block of sliding windows is formed.  Only ``sigma="mad"`` reads the windows
 themselves, for their finest-level coefficients (high-pass taps only, no
 basis), a bounded block of windows at a time.
 
+A sweep has one configuration, the one the harnesses run: the reflect
+boundary and the default threshold 2 sigma sqrt(2 ln(ln m / delta)) of the
+known or the MAD noise scale.  A reflect window of m >= 2 samples is
+transformed at length 2m >= 4, so every window has finest-level
+coefficients for a median, and only the first prefix y[:1] passes its
+observation through.
+
 Haar (``haar``, ``db1``, any case) skips the basis and the correlation.  Its
 support rows are constant on dyadic blocks ending at the newest sample, so
 the detail of width 2**s is 2**(-s/2) times the older-half minus the
 newer-half sum of the newest 2**s samples, shared by every window of at
-least 2**s samples ending there, and the approximation is the window sum.
+least 2**s samples ending there, and the approximation is twice the
+window sum over sqrt(2m).
 The block sums of every width come from doubling, S_j(t) = S_{j-1}(t) +
 S_{j-1}(t - 2**(j-1)), which adds pairwise; one table of the details of
 every prefix is then thresholded per prefix and reduced against the weights
@@ -43,12 +51,13 @@ import numpy as np
 
 from .denoise import (
     DenoiseConfig,
+    _default_threshold,
     _mad_rows,
-    _noise_scale,
     _require_finite,
     _require_finite_output,
     _require_sigma_delta,
-    _threshold,
+    _require_sigma_mode,
+    _require_transform,
     estimate_latest,
 )
 from .errors import LengthMismatch
@@ -68,38 +77,32 @@ def _levels(T: int) -> list[tuple[int, int, int]]:
     return [(m, m - 1, min(2 * m - 1, T)) for m in sizes]
 
 
-def _raw_prefixes(cfg: DenoiseConfig) -> int:
-    """How many leading prefixes pass their newest sample through: y[:1],
-    and under periodic MAD y[:2] and y[:3] too, windows too short for a
-    median of finest-level coefficients.  A level with hi <= it is skipped."""
-    return 3 if isinstance(cfg.sigma, str) and cfg.boundary == "periodic" else 1
+def _level_threshold(family: str, delta: float, Y, m: int, count: int, sigma):
+    """Default threshold of the ``count`` windows Y[b, j : j + m] of one
+    level in each row b of a (B, T) stack: a float for a float ``sigma``, a
+    (B, 1, 1) column for a (B, 1) column of the rows' known noise scales,
+    or a (B, count, 1) column with one value per row and window under MAD
+    (``sigma`` None)."""
+    if sigma is None:
+        sigma = _mad_sigma(family, Y, m, count)[..., None]
+    elif isinstance(sigma, np.ndarray):
+        sigma = sigma[:, :, None]
+    return _default_threshold(sigma, delta, m)
 
 
-def _level_threshold(cfg: DenoiseConfig, Y, m: int, n: int, count: int, sigma):
-    """Threshold of the ``count`` windows Y[b, j : j + m] of one level in
-    each row b of a (B, T) stack, each transformed at length n, by the
-    estimator's own noise-scale and threshold rule: a float for the level,
-    a (B, 1, 1) column for a (B, 1) column ``sigma`` of the rows' known
-    noise scales (None: cfg's), or a (B, count, 1) column with one value
-    per row and window under MAD."""
-    if sigma is not None:
-        return _threshold(cfg, m, lambda: sigma[:, :, None])
-    return _threshold(cfg, m, lambda: _noise_scale(cfg, n, lambda: _mad_sigma(cfg, Y, m, count)))
-
-
-def _mad_sigma(cfg: DenoiseConfig, Y, m: int, count: int) -> np.ndarray:
-    """MAD noise scale of each of the ``count`` windows Y[b, j : j + m] of
-    each row, (B, count).  Each row is its own series, a block of windows
-    at a time: a reflect fold of 16 m bytes per window keeps a block near
-    ``_SCRATCH_BYTES`` at any horizon (and in cache, which made 1 MiB
-    faster than larger blocks on a db8 sweep of T = 4096)."""
-    family = get_family(cfg.family)
+def _mad_sigma(family: str, Y, m: int, count: int) -> np.ndarray:
+    """MAD noise scale of each of the ``count`` reflect-folded windows
+    Y[b, j : j + m] of each row, (B, count).  Each row is its own series, a
+    block of windows at a time: a fold of 16 m bytes per window keeps a
+    block near ``_SCRATCH_BYTES`` at any horizon (and in cache, which made
+    1 MiB faster than larger blocks on a db8 sweep of T = 4096)."""
+    taps = get_family(family)
     per = max(1, _SCRATCH_BYTES // (16 * m))
     sigma = np.empty((len(Y), count))
     for b, y in enumerate(Y):
         windows = np.lib.stride_tricks.sliding_window_view(y, m)[:count]
         for j in range(0, count, per):
-            sigma[b, j : j + per] = _mad_rows(finest(family, windows[j : j + per], cfg.boundary))
+            sigma[b, j : j + per] = _mad_rows(finest(taps, windows[j : j + per], "reflect"))
     return sigma
 
 
@@ -122,34 +125,32 @@ def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
     return np.subtract(coeffs, clipped, out=coeffs)
 
 
-def _prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigma) -> np.ndarray:
+def _prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarray, sigma) -> np.ndarray:
     """out[b, t - 1] = the estimate from Y[b, :t] for a (B, T) stack, one
     dyadic window size at a time, thresholded by :func:`_level_threshold`
-    with the rows' known noise scales ``sigma``, a (B, 1) column or None.
+    with the known noise scale ``sigma``: a float, a (B, 1) column, or None
+    under MAD.
 
     Each level runs on a chunk of rows (:func:`_rows_per_chunk` of its FFT
     product; the lags and the coefficients are smaller), so the
     correlation's buffers stay in this thread's scratch; one matmul, which
     numpy runs as one (count, |S|) @ weights product per row, then gives
     estimates that do not depend on the rows stacked with it."""
-    if get_family(cfg.family).name == "haar":
-        return _haar_prefix_kernel(Y, cfg, out, sigma)
-    raw = _raw_prefixes(cfg)
-    out[:, :raw] = Y[:, :raw]
+    if get_family(family).name == "haar":
+        return _haar_prefix_kernel(Y, family, delta, out, sigma)
+    out[:, :1] = Y[:, :1]
     for m, lo, hi in _levels(Y.shape[1]):
-        if hi <= raw:
-            continue
-        basis = support_basis(cfg.family, m, cfg.boundary)
+        basis = support_basis(family, m, "reflect")
         step = _rows_per_chunk(16 * len(basis.rows) * (m + 1))
         for b in range(0, len(Y), step):
-            rows, known = Y[b : b + step], None if sigma is None else sigma[b : b + step]
+            rows, known = Y[b : b + step], sigma[b : b + step] if isinstance(sigma, np.ndarray) else sigma
             coeffs = basis.sliding(rows, hi - lo)
-            lam = _level_threshold(cfg, rows, m, basis.n, hi - lo, known)
+            lam = _level_threshold(family, delta, rows, m, hi - lo, known)
             np.matmul(_shrink_in_place(coeffs, lam), basis.weights, out=out[b : b + step, lo:hi])
     return out
 
 
-def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigma) -> np.ndarray:
+def _haar_prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarray, sigma) -> np.ndarray:
     """:func:`_prefix_kernel` for Haar, every prefix in one pass over a table
     of dyadic block sums, a chunk of rows (:func:`_rows_per_chunk` of the
     table) at a time.
@@ -159,22 +160,20 @@ def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigm
     y[i] (0 where the prefix is shorter); scaled by 2**(-s/2) it is the
     detail coefficient of width 2**s, weight -2**(-s/2), of every window of
     2**s or more samples ending there.  ``approx`` holds the window's
-    approximation coefficient and ``weight`` its weight 1/sqrt(n) for a
-    transform of length n.  Under the reflect boundary the approximation is
-    twice the window sum over sqrt(n), and the coarsest detail of the fold
+    approximation coefficient and ``weight`` its weight 1/sqrt(n) for the
+    transform length n = 2m of a window of m samples: the approximation of
+    the fold is twice the window sum over sqrt(n), and its coarsest detail
     is 0, so it is left out.
     """
     T = Y.shape[1]
     levels = _floor_log2(T)
-    fold = cfg.boundary == "reflect"
-    raw = _raw_prefixes(cfg)
     # the table and its one working copy (this thread's scratch when they fit)
     _require_budget(f"the Haar sweep of {T} samples", 2 * levels * T * 8)
     scale = 2.0 ** (-0.5 * np.arange(1, levels + 1))
     weight = np.zeros(T)
     step = _rows_per_chunk(8 * max(levels, 1) * T)
     for b in range(0, len(Y), step):
-        rows, known = Y[b : b + step], None if sigma is None else sigma[b : b + step]
+        rows, known = Y[b : b + step], sigma[b : b + step] if isinstance(sigma, np.ndarray) else sigma
         details = _scratch(0, (len(rows), levels, T))
         approx, lam = np.zeros(rows.shape), np.zeros(rows.shape)
         sums = rows  # after level m, sums[:, i - m + 1]: the m samples ending at y[i]
@@ -184,54 +183,39 @@ def _haar_prefix_kernel(Y: np.ndarray, cfg: DenoiseConfig, out: np.ndarray, sigm
             np.subtract(sums[:, :-half], sums[:, half:], out=row[:, lo:])
             row *= scale[j]
             sums = sums[:, half:] + sums[:, :-half]
-            if hi <= raw:
-                continue
-            n = 2 * m if fold else m
-            root = n ** -0.5
-            np.multiply(sums[:, : hi - lo], (2.0 if fold else 1.0) * root, out=approx[:, lo:hi])
+            root = (2 * m) ** -0.5
+            np.multiply(sums[:, : hi - lo], 2.0 * root, out=approx[:, lo:hi])
             weight[lo:hi] = root
             # a float for the level, or a column with one value per row or per window
-            lam[:, lo:hi, None] = _level_threshold(cfg, rows, m, n, hi - lo, known)
+            lam[:, lo:hi, None] = _level_threshold(family, delta, rows, m, hi - lo, known)
         detail_sum = scale @ _shrink_in_place(details, lam[:, None, :])
         # weight * _shrink(approx, lam) - detail_sum, written over approx
         np.multiply(_shrink_in_place(approx, lam), weight, out=approx)
         np.subtract(approx, detail_sum, out=out[b : b + step])
-    out[:, :raw] = Y[:, :raw]
+    out[:, :1] = Y[:, :1]
     return out
 
 
-def wavelet_prefix_estimates(
-    y: np.ndarray,
-    family: str,
-    *,
-    sigma,
-    delta: float,
-    lam_override: float | None = None,
-    boundary: str = "reflect",
-) -> np.ndarray:
+def wavelet_prefix_estimates(y: np.ndarray, family: str, *, sigma, delta: float) -> np.ndarray:
     """Latest-value estimates over every prefix y[:1], y[:2], ..., y[:T] of
     a series, or of each row of a (B, T) stack of series (shape of y).
     ``sigma`` is a float, ``"mad"``, or a (B, 1) column with one float per
     row; the whole stack is swept at once, a column giving each row its own
     threshold per level.
 
-    Each prefix is truncated to its most recent dyadic window, arranged per
-    the boundary policy, and denoised; the estimate at t = 1 is the lone
-    observation.  With ``sigma="mad"`` the noise scale is re-estimated per
-    prefix; under the periodic boundary the raw observation is passed through
-    while the window is too short (fewer than 4 points) to carry
-    finest-level coefficients worth a median.  NaN or infinite observations
-    or estimates raise :class:`NonFiniteValue`, naming the row of a stack;
-    the parameters are checked as :class:`DenoiseConfig` checks them
-    (``ValueError``).  Each row's estimates are bit-identical to a call
-    with that row alone.
+    Each prefix is truncated to its most recent dyadic window, reflect-folded
+    and soft-thresholded at the default threshold; the estimate at t = 1 is
+    the lone observation.  With ``sigma="mad"`` the noise scale is
+    re-estimated per prefix.  NaN or infinite observations or estimates
+    raise :class:`NonFiniteValue`, naming the row of a stack; the parameters
+    are checked as :class:`DenoiseConfig` checks them (``ValueError``).
+    Each row's estimates are bit-identical to a call with that row alone.
     """
+    _require_sigma_mode(sigma)
+    mad = isinstance(sigma, str)
     column = np.reshape(sigma, (-1, 1)) if np.ndim(sigma) else None
-    if column is not None:
-        _require_sigma_delta(column, delta)
-    # a column's thresholds come from the column (_level_threshold), the rest from cfg
-    cfg = DenoiseConfig(family=family, sigma=sigma if column is None else 0.0, delta=delta,
-                        lambda_override=lam_override, boundary=boundary)
+    _require_sigma_delta(0.0 if mad else sigma if column is None else column, delta)
+    _require_transform("reflect", family)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.ndim not in (1, 2):
         raise LengthMismatch(f"need a series or a (B, T) stack of series, got shape {y.shape}")
@@ -242,8 +226,9 @@ def wavelet_prefix_estimates(
     T = Y.shape[1]
     if column is not None and len(column) != len(Y):
         raise LengthMismatch(f"need one sigma per row, got {len(column)} for {len(Y)} rows")
+    known = None if mad else float(sigma) if column is None else column
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        out = _prefix_kernel(Y, cfg, np.empty(Y.shape), column)
+        out = _prefix_kernel(Y, family, delta, np.empty(Y.shape), known)
     if y.ndim == 1:
         _require_finite_output(out[0], lambda i: f"the estimate from y[:{i + 1}]")
     else:
@@ -251,25 +236,16 @@ def wavelet_prefix_estimates(
     return out.reshape(y.shape)
 
 
-def prefix_estimates_reference(
-    y: np.ndarray, family: str, *, sigma: float | str, delta: float,
-    lam_override: float | None = None, boundary: str = "reflect",
-) -> np.ndarray:
-    """Same contract as :func:`wavelet_prefix_estimates` via the public
-    estimator, one prefix at a time.  Slow; used to pin the kernel down."""
+def prefix_estimates_reference(y: np.ndarray, family: str, *, sigma: float | str, delta: float) -> np.ndarray:
+    """Same contract as :func:`wavelet_prefix_estimates` for one series, via
+    the public estimator under its default reflect boundary and threshold,
+    one prefix at a time.  Slow; used to pin the kernel down."""
     y = np.asarray(y, dtype=np.float64)
     out = np.empty(len(y))
     if len(y) == 0:
         return out
-    cfg = DenoiseConfig(
-        family=family, sigma=sigma, delta=delta,
-        lambda_override=lam_override, boundary=boundary,
-    )
+    cfg = DenoiseConfig(family=family, sigma=sigma, delta=delta)
     out[0] = y[0]
     for t in range(2, len(y) + 1):
-        n_used = 1 << _floor_log2(t)
-        if isinstance(sigma, str) and boundary == "periodic" and n_used < 4:
-            out[t - 1] = y[t - 1]
-            continue
         out[t - 1] = estimate_latest(y[:t], cfg).value
     return out

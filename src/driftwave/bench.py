@@ -170,9 +170,7 @@ class WaveletMethod:
 
     def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         sigma = known_sigma if self.sigma_mode == "known" else "mad"
-        return _kernels.wavelet_prefix_estimates(
-            y, self.family, sigma=sigma, delta=delta, boundary=self.boundary
-        )
+        return _kernels.wavelet_prefix_estimates(y, self.family, sigma=sigma, delta=delta)
 
 
 class AdaptiveWindowMethod:
@@ -395,6 +393,7 @@ def run_online_eval(
     if not methods:
         raise ValueError("need at least one method")
     _require_count("trials", trials)
+    _require_sigma_delta(0.0, delta)  # checked even where no method reads it
     names = tuple(m.name for m in methods)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate method names: {names}")

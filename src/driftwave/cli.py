@@ -8,7 +8,7 @@ noise level given as 1 prints as 1.0 in both).  Each subcommand returns its
 text and :func:`main` alone writes it, to --out or stdout, and maps errors to
 exit codes: 0 success; 3 configuration error (a ValueError, KeyError,
 TypeError or DomainError: a bad flag or spec value); 2 input error (any other
-DriftwaveError, or a file that is missing, a directory or not readable).
+DriftwaveError, or any OSError: a file that cannot be opened, read or written).
 Every text input is read as UTF-8; a leading byte-order mark is dropped.
 The environment variable DRIFTWAVE_LOG sets the log level, nothing else.
 """
@@ -38,7 +38,7 @@ EXIT_CONFIG = 3
 
 # A bad flag or spec value; every other library error is a problem with the input.
 _CONFIG_ERRORS = (ValueError, KeyError, TypeError, DomainError)
-_INPUT_ERRORS = (DriftwaveError, FileNotFoundError, IsADirectoryError, PermissionError)
+_INPUT_ERRORS = (DriftwaveError, OSError)
 
 
 def _read_text(path: str) -> str:
@@ -155,7 +155,7 @@ def cmd_bench(args) -> str:
         methods,
         trials=trials,
         base_seed=args.seed,
-        delta=float(spec.get("delta", 0.1)),
+        delta=spec.get("delta", 0.1),
     )
     return report.to_text(args.format)
 
@@ -164,12 +164,12 @@ def cmd_tvscale(args) -> str:
     _require_seed(args)
     raw = _load_spec(args.spec)
     spec = TVStudySpec(
-        tv_radius=float(raw["tv_radius"]),
-        sigma=float(raw["sigma"]),
+        tv_radius=raw["tv_radius"],
+        sigma=raw["sigma"],
         n_grid=tuple(raw["n_grid"]),
         trials=raw.get("trials", 10),
         estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
-        delta=float(raw.get("delta", 0.1)),
+        delta=raw.get("delta", 0.1),
     )
     fit = run_tv_study(spec, base_seed=args.seed)
     return fit.to_text(args.format)
@@ -192,7 +192,7 @@ def cmd_bounds(args) -> str:
     families = tuple(spec.get("families", ("haar", "db8")))
     profile = bound_profile(
         theta, noise, families,
-        delta=float(spec.get("delta", 0.1)),
+        delta=spec.get("delta", 0.1),
         boundary=spec.get("boundary", "reflect"),
     )
     return profile.to_text(args.format)

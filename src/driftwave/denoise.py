@@ -52,8 +52,7 @@ class DenoiseConfig:
     boundary: str = "reflect"
 
     def __post_init__(self):
-        if isinstance(self.sigma, str) and self.sigma != "mad":
-            raise ValueError(f"sigma must be a number or 'mad', got {self.sigma!r}")
+        _require_sigma_mode(self.sigma)
         _require_sigma_delta(0.0 if self.sigma == "mad" else self.sigma, self.delta)
         _require_finite_params(lambda_override=self.lambda_override)
         if self.lambda_override is not None and self.lambda_override < 0:
@@ -178,11 +177,20 @@ def _require_finite_output(values, name) -> None:
 
 
 def _require_finite_params(**params) -> None:
-    """ValueError naming the first parameter that is NaN or infinite; None
-    and strings (no override, ``sigma="mad"``) are not numbers to check."""
+    """ValueError naming the first parameter that is a bool, NaN or
+    infinite; None and strings (no override, ``sigma="mad"``) are not
+    numbers to check.  A bool is not a number here, as it is not a count."""
     for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
         if not isinstance(value, (str, type(None))) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_sigma_mode(sigma) -> None:
+    """ValueError for a string sigma other than ``"mad"``."""
+    if isinstance(sigma, str) and sigma != "mad":
+        raise ValueError(f"sigma must be a number or 'mad', got {sigma!r}")
 
 
 def _require_count(name: str, value) -> None:

@@ -523,6 +523,21 @@ class TestBoundProfile:
                 totals[li] += float((np.minimum(coeff_abs, lam) @ wts).sum())
         assert got.tobytes() == (totals / (n - 1)).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["doppler", "random_coin", "piecewise_constant"]),
+        n=st.integers(2, 600), families=st.lists(st.sampled_from(FAMILY_NAMES), min_size=1, max_size=3),
+        boundary=st.sampled_from(["reflect", "periodic"]), seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.2, 0.3, 1.0]), min_size=1, max_size=5),
+    )
+    def test_each_level_has_the_bytes_of_its_call_alone(self, kind, n, families, boundary, seed, levels):
+        """A noise level's bounds do not depend on the levels profiled with it."""
+        theta = generate_signal(SignalSpec(kind, n), seed)
+        got = bound_profile(theta, NoiseSpec("uniform", tuple(levels)), tuple(families), boundary=boundary)
+        for li, level in enumerate(levels):
+            alone = bound_profile(theta, NoiseSpec("uniform", (level,)), tuple(families), boundary=boundary)
+            assert got.values[:, li].tobytes() == alone.values[:, 0].tobytes(), level
+
     def test_undefined_threshold_only_with_noise(self):
         # ln(2)/0.8 < 1: the first window size has no threshold but for sigma 0
         theta = generate_signal(SignalSpec("doppler", 64), 0)

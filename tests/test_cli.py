@@ -401,6 +401,14 @@ _TVSCALE = {"tv_radius": 1.0, "sigma": 0.5, "n_grid": [32], "trials": 1}
         pytest.param("bench", {**_BENCH, "methods": [{"kind": "wavelet", "family": 5}]}, id="bench-family-5"),
         pytest.param("tvscale", {**_TVSCALE, "estimator": {"kind": "wavelet", "family": 5}},
                      id="tvscale-family-5"),
+        # a spec number is checked as given: true is not 1.0, nor "0.5" 0.5
+        pytest.param("bench", {**_BENCH, "noise": {"levels": [True]}, "methods": [{"kind": "passthrough"}]},
+                     id="bench-level-true"),
+        pytest.param("bench", {**_BENCH, "delta": True, "methods": [{"kind": "passthrough"}]},
+                     id="bench-delta-true"),
+        pytest.param("tvscale", {**_TVSCALE, "sigma": True}, id="tvscale-sigma-true"),
+        pytest.param("tvscale", {**_TVSCALE, "tv_radius": "0.5"}, id="tvscale-radius-quoted"),
+        pytest.param("bounds", {**_BOUNDS, "delta": True}, id="bounds-delta-true"),
     ],
 )
 def test_wrong_typed_spec_value_is_one_line_config_error(tmp_path, command, spec):
@@ -410,6 +418,22 @@ def test_wrong_typed_spec_value_is_one_line_config_error(tmp_path, command, spec
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("driftwave: config error: ")
+
+
+@pytest.mark.parametrize("where", ["series-below-a-file", "out-below-a-file", "name-too-long"])
+def test_os_error_is_one_line_input_error(tmp_path, where):
+    series = tmp_path / "s.txt"
+    series.write_text("1.0\n2.0\n3.0\n")
+    argv = {
+        "series-below-a-file": [str(series / "x")],  # NotADirectoryError
+        "out-below-a-file": [str(series), "--out", str(series / "x")],
+        "name-too-long": [str(tmp_path / ("n" * 300))],  # OSError: ENAMETOOLONG
+    }[where]
+    proc = run_cli("estimate", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: input error: ")
+    assert proc.stdout == ""
 
 
 class TestOutputFile:

@@ -165,17 +165,17 @@ class TestEstimateLatest:
 
     def test_huge_lambda_kills_everything(self):
         # +0.0 whatever the signs of the killed coefficients, in the estimate
-        # and in the sweep, so JSON output never reads -0.0
-        for family, boundary in [("haar", "reflect"), ("db8", "reflect"), ("db8", "periodic")]:
-            for y in (np.sin(np.arange(64)), -1.0 - np.arange(64.0)):
+        # and in the sweep, so JSON output never reads -0.0; the sweep's
+        # threshold is the default one, made huge by a huge sigma
+        for y in (np.sin(np.arange(64)), -1.0 - np.arange(64.0)):
+            for family, boundary in [("haar", "reflect"), ("db8", "reflect"), ("db8", "periodic")]:
                 cfg = DenoiseConfig(
                     family=family, sigma=1.0, lambda_override=1e6, boundary=boundary
                 )
                 value = estimate_latest(y, cfg).value
                 assert value == 0.0 and math.copysign(1.0, value) == 1.0
-                sweep = wavelet_prefix_estimates(
-                    y, family, sigma=1.0, delta=0.1, lam_override=1e6, boundary=boundary
-                )
+            for family in ("haar", "db8"):
+                sweep = wavelet_prefix_estimates(y, family, sigma=1e6, delta=0.1)
                 assert not sweep[1:].any() and not np.signbit(sweep[1:]).any()
 
     def test_constant_signal_deviation_bound(self):
@@ -489,9 +489,6 @@ _PARAMETER_CALLS = {
     "adaptive sweep column sigma": lambda v: adaptive_window_sweep(
         np.stack([_THETA] * 3), np.array([[0.1], [v], [0.1]]), 0.1
     ),
-    "prefix lambda": lambda v: wavelet_prefix_estimates(
-        _THETA, "db4", sigma=0.1, delta=0.1, lam_override=v
-    ),
     "bound_report sigma": lambda v: bound_report(_THETA, v, 0.1),
     "bound_report delta": lambda v: bound_report(_THETA, 0.1, v),
     "haar bound sigma": lambda v: haar_variational_bound(_THETA, v, 0.1),
@@ -520,6 +517,18 @@ class TestNonFiniteParameters:
     )
     def test_raises_and_never_returns(self, where, bad):
         with pytest.raises(ValueError, match="finite"):
+            _PARAMETER_CALLS[where](bad)
+
+
+class TestBoolParameters:
+    """A bool is not a number: True is not 1.0 (a column is an array of
+    floats, so its entries are not bools)."""
+
+    @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if "column" not in k))
+    @pytest.mark.parametrize("bad", [True, np.True_, False])
+    def test_refused_and_named(self, where, bad):
+        name = where.split()[-1]  # "radius" of tv_radius, "level" of noise_level
+        with pytest.raises(ValueError, match=rf"^\w*{name}\w* must be a number, got {re.escape(repr(bad))}$"):
             _PARAMETER_CALLS[where](bad)
 
 

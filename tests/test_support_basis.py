@@ -72,15 +72,9 @@ def dense_denoise(y, family, sigma, delta, lam_override=None, boundary="reflect"
     return W.T @ shrunk, lam, sig, n_used
 
 
-def dense_prefix_estimates(y, family, sigma, delta, lam_override=None, boundary="reflect"):
-    out = np.empty(len(y))
-    for t in range(1, len(y) + 1):
-        periodic_mad_passthrough = sigma == "mad" and boundary == "periodic" and t < 4
-        if t == 1 or periodic_mad_passthrough:
-            out[t - 1] = y[t - 1]
-        else:
-            out[t - 1] = dense_denoise(y[:t], family, sigma, delta, lam_override, boundary)[0][-1]
-    return out
+def dense_prefix_estimates(y, family, sigma, delta):
+    """The prefix sweep's contract: reflect, default threshold, y[:1] as is."""
+    return np.array([y[0]] + [dense_denoise(y[:t], family, sigma, delta)[0][-1] for t in range(2, len(y) + 1)])
 
 
 def drifting_series(seed: int, T: int) -> np.ndarray:
@@ -308,15 +302,12 @@ class TestKernelMatchesDense:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
-        boundary=boundaries, sigma=sigmas, lam=lam_overrides,
-        delta=st.sampled_from([0.05, 0.1, 0.3]),
+        sigma=sigmas, delta=st.sampled_from([0.05, 0.1, 0.3]),
     )
-    def test_prefix_estimates(self, seed, T, family, boundary, sigma, lam, delta):
+    def test_prefix_estimates(self, seed, T, family, sigma, delta):
         y = drifting_series(seed, T)
-        got = _kernels.wavelet_prefix_estimates(
-            y, family, sigma=sigma, delta=delta, lam_override=lam, boundary=boundary
-        )
-        ref = dense_prefix_estimates(y, family, sigma, delta, lam, boundary)
+        got = _kernels.wavelet_prefix_estimates(y, family, sigma=sigma, delta=delta)
+        ref = dense_prefix_estimates(y, family, sigma, delta)
         np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
 
 
@@ -363,61 +354,49 @@ class TestEstimatorMatchesDense:
         assert abs(got - ref) <= TOL * max(1.0, abs(ref))
 
 
-def estimates(y, family, sigma, boundary, lam=None):
+def estimates(y, family, sigma):
     """(prefix-kernel estimates, estimate_latest value or None when y has
-    too few points for it or for a MAD sigma)."""
-    kernel = _kernels.wavelet_prefix_estimates(
-        y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
-    )
+    too few points for it)."""
+    kernel = _kernels.wavelet_prefix_estimates(y, family, sigma=sigma, delta=0.1)
     if len(y) < 2:
         return kernel, None
-    cfg = DenoiseConfig(
-        family=family, sigma=sigma, delta=0.1, lambda_override=lam, boundary=boundary
-    )
-    try:
-        return kernel, denoise.estimate_latest(y, cfg).value
-    except TooShort:
-        return kernel, None
+    return kernel, denoise.estimate_latest(y, DenoiseConfig(family=family, sigma=sigma, delta=0.1)).value
 
 
 class TestKernelProperties:
-    """Symmetries of the estimator, for the prefix kernel and estimate_latest."""
+    """Symmetries of the estimator, for the prefix kernel and estimate_latest
+    in the kernel's one configuration (reflect, default threshold)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
-        boundary=boundaries, sigma=sigmas, a=st.floats(1e-3, 1e3),
+        sigma=sigmas, a=st.floats(1e-3, 1e3),
     )
-    def test_scale_equivariance(self, seed, T, family, boundary, sigma, a):
+    def test_scale_equivariance(self, seed, T, family, sigma, a):
         y = drifting_series(seed, T)
         scaled_sigma = sigma if sigma == "mad" else a * sigma
-        kernel, latest = estimates(y, family, sigma, boundary)
-        kernel_a, latest_a = estimates(a * y, family, scaled_sigma, boundary)
+        kernel, latest = estimates(y, family, sigma)
+        kernel_a, latest_a = estimates(a * y, family, scaled_sigma)
         np.testing.assert_allclose(kernel_a, a * kernel, rtol=0, atol=TOL * a)
         if latest is not None:
             assert abs(latest_a - a * latest) <= TOL * a
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
-        boundary=boundaries, sigma=sigmas,
-    )
-    def test_odd_symmetry(self, seed, T, family, boundary, sigma):
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families, sigma=sigmas)
+    def test_odd_symmetry(self, seed, T, family, sigma):
         y = drifting_series(seed, T)
-        kernel, latest = estimates(y, family, sigma, boundary)
-        kernel_neg, latest_neg = estimates(-y, family, sigma, boundary)
+        kernel, latest = estimates(y, family, sigma)
+        kernel_neg, latest_neg = estimates(-y, family, sigma)
         np.testing.assert_allclose(kernel_neg, -kernel, rtol=0, atol=TOL)
         if latest is not None:
             assert abs(latest_neg + latest) <= TOL
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families,
-        boundary=boundaries, sigma=sigmas,
-    )
-    def test_zero_lambda_returns_newest_observation(self, seed, T, family, boundary, sigma):
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 600), family=families)
+    def test_zero_lambda_returns_newest_observation(self, seed, T, family):
+        # sigma = 0 gives the default threshold lambda = 0
         y = drifting_series(seed, T)
-        kernel, latest = estimates(y, family, sigma, boundary, lam=0.0)
+        kernel, latest = estimates(y, family, 0.0)
         np.testing.assert_allclose(kernel, y, rtol=0, atol=TOL)
         if T >= 2:
             assert abs(latest - y[-1]) <= TOL
@@ -452,18 +431,16 @@ def test_no_hot_path_builds_a_dense_transform(monkeypatch):
 
 
 def test_sweeps_correlate_without_forming_windows(monkeypatch):
-    """The prefix kernel (known sigma, zero sigma, a lambda override) and
-    bound_profile form no block of windows: the kernel reads every db8
-    coefficient from the FFT correlation and every Haar coefficient from its
-    block-sum table, and bound_profile reads them from the FFT correlation.
-    The single-window paths never compute the correlation."""
+    """The prefix kernel (known sigma, zero sigma) and bound_profile form no
+    block of windows: the kernel reads every db8 coefficient from the FFT
+    correlation and every Haar coefficient from its block-sum table, and
+    bound_profile reads them from the FFT correlation.  The single-window
+    paths never compute the correlation."""
     rng = np.random.default_rng(1)
     y = np.cumsum(rng.normal(0.0, 0.1, 700))
     expected = {
-        (family, boundary, T): _kernels.wavelet_prefix_estimates(
-            y[:T], family, sigma=0.2, delta=0.1, boundary=boundary
-        )
-        for family in ("haar", "db8") for boundary in ("reflect", "periodic") for T in (300, 512)
+        (family, T): _kernels.wavelet_prefix_estimates(y[:T], family, sigma=0.2, delta=0.1)
+        for family in ("haar", "db8") for T in (300, 512)
     }
 
     def refuse(*args, **kwargs):
@@ -472,15 +449,10 @@ def test_sweeps_correlate_without_forming_windows(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(np.lib.stride_tricks, "sliding_window_view", refuse)
         patched.setattr(SupportBasis, "coefficients", refuse)
-        for (family, boundary, T), want in expected.items():
-            got = _kernels.wavelet_prefix_estimates(
-                y[:T], family, sigma=0.2, delta=0.1, boundary=boundary
-            )
+        for (family, T), want in expected.items():
+            got = _kernels.wavelet_prefix_estimates(y[:T], family, sigma=0.2, delta=0.1)
             np.testing.assert_array_equal(got, want)
-            for sigma, lam in ((0.0, None), (0.2, 0.5), ("mad", 0.5)):
-                _kernels.wavelet_prefix_estimates(
-                    y[:T], family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
-                )
+            _kernels.wavelet_prefix_estimates(y[:T], family, sigma=0.0, delta=0.1)
         noise = bench.NoiseSpec("uniform", (0.2, 0.5))
         theta = bench.generate_signal(bench.SignalSpec("doppler", 300), 0)
         for boundary in ("reflect", "periodic"):
@@ -498,63 +470,44 @@ def test_haar_sweeps_use_the_block_sums(monkeypatch):
     built on them never run the FFT correlation, and they match the
     one-prefix-at-a-time reference."""
     y = drifting_series(7, 300)
-    cases = [
-        (family, boundary, sigma, lam)
-        for family in ("haar", "db1", "HAAR")
-        for boundary in ("reflect", "periodic")
-        for sigma, lam in ((0.3, None), (0.0, None), (0.3, 0.5))
-    ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the FFT correlation ran")
 
     monkeypatch.setattr(SupportBasis, "sliding", refuse)
-    for family, boundary, sigma, lam in cases:
-        got = _kernels.wavelet_prefix_estimates(
-            y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
-        )
-        ref = _kernels.prefix_estimates_reference(
-            y, family, sigma=sigma, delta=0.1, lam_override=lam, boundary=boundary
-        )
-        np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
+    for family in ("haar", "db1", "HAAR"):
+        for sigma in (0.3, 0.0):
+            got = _kernels.wavelet_prefix_estimates(y, family, sigma=sigma, delta=0.1)
+            ref = _kernels.prefix_estimates_reference(y, family, sigma=sigma, delta=0.1)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=TOL)
     spec = tvstudy.TVStudySpec(tv_radius=1.0, sigma=1.0, n_grid=(64, 256), trials=2)
     assert np.isfinite(tvstudy.run_tv_study(spec, 0).exponent_sq)
 
 
 def test_haar_mad_sweeps_build_no_basis(monkeypatch):
     """Haar MAD prefix sweeps take each window's noise scale from the
-    high-pass taps alone: under either boundary, with or without a lambda
-    override, they build no support basis, and they match the
+    high-pass taps alone: they build no support basis, and they match the
     one-prefix-at-a-time reference."""
     y = drifting_series(8, 300)
-    expected = {
-        (boundary, lam): _kernels.prefix_estimates_reference(
-            y, "haar", sigma="mad", delta=0.1, lam_override=lam, boundary=boundary
-        )
-        for boundary in ("reflect", "periodic") for lam in (None, 0.5)
-    }
+    want = _kernels.prefix_estimates_reference(y, "haar", sigma="mad", delta=0.1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a support basis was built")
 
     for module in (wavelets, _kernels):
         monkeypatch.setattr(module, "support_basis", refuse)
-    for (boundary, lam), want in expected.items():
-        got = _kernels.wavelet_prefix_estimates(
-            y, "haar", sigma="mad", delta=0.1, lam_override=lam, boundary=boundary
-        )
-        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+    got = _kernels.wavelet_prefix_estimates(y, "haar", sigma="mad", delta=0.1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("boundary", ["reflect", "periodic"])
-def test_haar_sweep_long_horizon(boundary):
+def test_haar_sweep_long_horizon():
     """At T = 2**16 the block sums, added pairwise by doubling, keep every
     sampled prefix within 1e-10 of estimate_latest relative to the series'
     magnitude, on a drifting series offset by 1e3."""
     T = 1 << 16
     y = 1e3 + drifting_series(5, T) + np.cumsum(np.random.default_rng(5).normal(0.0, 0.02, T))
-    got = _kernels.wavelet_prefix_estimates(y, "haar", sigma=0.5, delta=0.1, boundary=boundary)
-    cfg = DenoiseConfig(family="haar", sigma=0.5, delta=0.1, boundary=boundary)
+    got = _kernels.wavelet_prefix_estimates(y, "haar", sigma=0.5, delta=0.1)
+    cfg = DenoiseConfig(family="haar", sigma=0.5, delta=0.1)
     rng = np.random.default_rng(6)
     # both ends of every dyadic level, a few inside, and the last prefix
     prefixes = {t for k in range(1, 17) for t in ((1 << k), min((2 << k) - 1, T))}
