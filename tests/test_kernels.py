@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import driftwave
 from driftwave import wavelets
-from driftwave._kernels import _levels, _shrink_in_place, prefix_estimates_reference, wavelet_prefix_estimates
+from driftwave._kernels import (
+    _levels,
+    _mad_sigma,
+    _shrink_in_place,
+    prefix_estimates_reference,
+    wavelet_prefix_estimates,
+)
 from driftwave.errors import DomainError, LengthMismatch, NonFiniteValue
 from driftwave.wavelets import support_basis
 
@@ -289,6 +295,21 @@ class TestStacked:
             for b in range(B):
                 assert out[b, lo:hi].tobytes() == (shrunk[b] @ basis.weights).tobytes(), (b, m)
 
+    # the sweep is reflect-only; the ids keep the boundary they always named
+    @pytest.mark.parametrize("family", ["haar", "db4"], ids=lambda f: f"reflect-{f}")
+    def test_mad_sigma_rows_match_single_series(self, family):
+        # The last level of T = 2**k holds one window per row, which
+        # `finest` must round as it rounds the same window among others.
+        rng = np.random.default_rng(5)
+        for T in (8, 9, 64, 100, 512, 2048):
+            Y = rng.normal(0.0, 1.0, (6, T))
+            for m, lo, hi in _levels(T):
+                if m < 4:
+                    continue
+                got = _mad_sigma(family, Y, m, hi - lo)
+                for y, row in zip(Y, got):
+                    assert row.tobytes() == _mad_sigma(family, y[None], m, hi - lo)[0].tobytes(), (T, m)
+
     def test_empty_stack(self):
         assert wavelet_prefix_estimates(np.zeros((3, 0)), "db4", sigma=0.3, delta=0.1).shape == (3, 0)
 
@@ -323,6 +344,25 @@ class TestStacked:
             wavelet_prefix_estimates(Y, "db4", sigma=column, delta=0.1)
         with pytest.raises(LengthMismatch, match="one sigma per row"):
             wavelet_prefix_estimates(Y, "db4", sigma=column[:2], delta=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["haar", "db4", "db8"]),
+        T=st.one_of(st.integers(1, 300), st.sampled_from([512, 1025])),
+        pool=st.lists(st.sampled_from([0.0, -0.0, 1e-12, 0.05, 0.3, 1.0]), min_size=1, max_size=4),
+        B=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sigma_column_rows_match_one_row_calls(self, family, T, pool, B, seed):
+        """A (B, 1) sigma column thresholds each row by its own sigma in one
+        sweep: row b has the bytes of the one-row call with sigma[b]."""
+        rng = np.random.default_rng(seed)
+        Y = stack_rows(rng, rng.choice(["noisy", "constant", "offset"], B), T)
+        column = rng.choice(pool, (B, 1))
+        got = wavelet_prefix_estimates(Y, family, sigma=column, delta=0.1)
+        for b in range(B):
+            want = wavelet_prefix_estimates(Y[b], family, sigma=float(column[b, 0]), delta=0.1)
+            assert got[b].tobytes() == want.tobytes(), b
 
     def test_sigma_column_is_one_sweep(self, monkeypatch):
         """Five distinct sigmas in a (25, 500) db8 stack correlate as many
