@@ -14,7 +14,8 @@ basis), a bounded block of windows at a time.
 
 A sweep has one configuration, the one the harnesses run: the reflect
 boundary and the default threshold 2 sigma sqrt(2 ln(ln m / delta)) of the
-known or the MAD noise scale.  A reflect window of m >= 2 samples is
+known or the MAD noise scale, each level's from ``denoise._noise_threshold``
+as every estimate's is.  A reflect window of m >= 2 samples is
 transformed at length 2m >= 4, so every window has finest-level
 coefficients for a median, and only the first prefix y[:1] passes its
 observation through.
@@ -51,12 +52,11 @@ import numpy as np
 
 from .denoise import (
     DenoiseConfig,
-    _default_threshold,
     _mad_rows,
+    _noise_threshold,
     _require_finite,
     _require_finite_output,
     _require_sigma_delta,
-    _require_sigma_mode,
     _require_transform,
     estimate_latest,
 )
@@ -75,19 +75,6 @@ def _levels(T: int) -> list[tuple[int, int, int]]:
     walk of both sweeps and of ``bench.bound_profile``."""
     sizes = [1 << k for k in range(1, _floor_log2(T) + 1)]
     return [(m, m - 1, min(2 * m - 1, T)) for m in sizes]
-
-
-def _level_threshold(family: str, delta: float, Y, m: int, count: int, sigma):
-    """Default threshold of the ``count`` windows Y[b, j : j + m] of one
-    level in each row b of a (B, T) stack: a float for a float ``sigma``, a
-    (B, 1, 1) column for a (B, 1) column of the rows' known noise scales,
-    or a (B, count, 1) column with one value per row and window under MAD
-    (``sigma`` None)."""
-    if sigma is None:
-        sigma = _mad_sigma(family, Y, m, count)[..., None]
-    elif isinstance(sigma, np.ndarray):
-        sigma = sigma[:, :, None]
-    return _default_threshold(sigma, delta, m)
 
 
 def _mad_sigma(family: str, Y, m: int, count: int) -> np.ndarray:
@@ -127,9 +114,10 @@ def _shrink_in_place(coeffs: np.ndarray, lam) -> np.ndarray:
 
 def _prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarray, sigma) -> np.ndarray:
     """out[b, t - 1] = the estimate from Y[b, :t] for a (B, T) stack, one
-    dyadic window size at a time, thresholded by :func:`_level_threshold`
-    with the known noise scale ``sigma``: a float, a (B, 1) column, or None
-    under MAD.
+    dyadic window size at a time, thresholded at the λ that
+    :func:`~driftwave.denoise._noise_threshold` gives each level's windows
+    for the known noise scale ``sigma``: a float, a (B, 1) column (passed
+    on as a (chunk, 1, 1) one), or None for each window's MAD noise scale.
 
     Each level runs on a chunk of rows (:func:`_rows_per_chunk` of its FFT
     product; the lags and the coefficients are smaller), so the
@@ -143,9 +131,10 @@ def _prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarray, si
         basis = support_basis(family, m, "reflect")
         step = _rows_per_chunk(16 * len(basis.rows) * (m + 1))
         for b in range(0, len(Y), step):
-            rows, known = Y[b : b + step], sigma[b : b + step] if isinstance(sigma, np.ndarray) else sigma
+            rows = Y[b : b + step]
+            known = sigma[b : b + step, :, None] if isinstance(sigma, np.ndarray) else sigma
             coeffs = basis.sliding(rows, hi - lo)
-            lam = _level_threshold(family, delta, rows, m, hi - lo, known)
+            _, lam = _noise_threshold(known, delta, m, lambda: _mad_sigma(family, rows, m, hi - lo))
             np.matmul(_shrink_in_place(coeffs, lam), basis.weights, out=out[b : b + step, lo:hi])
     return out
 
@@ -173,7 +162,8 @@ def _haar_prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarra
     weight = np.zeros(T)
     step = _rows_per_chunk(8 * max(levels, 1) * T)
     for b in range(0, len(Y), step):
-        rows, known = Y[b : b + step], sigma[b : b + step] if isinstance(sigma, np.ndarray) else sigma
+        rows = Y[b : b + step]
+        known = sigma[b : b + step, :, None] if isinstance(sigma, np.ndarray) else sigma
         details = _scratch(0, (len(rows), levels, T))
         approx, lam = np.zeros(rows.shape), np.zeros(rows.shape)
         sums = rows  # after level m, sums[:, i - m + 1]: the m samples ending at y[i]
@@ -187,7 +177,8 @@ def _haar_prefix_kernel(Y: np.ndarray, family: str, delta: float, out: np.ndarra
             np.multiply(sums[:, : hi - lo], 2.0 * root, out=approx[:, lo:hi])
             weight[lo:hi] = root
             # a float for the level, or a column with one value per row or per window
-            lam[:, lo:hi, None] = _level_threshold(family, delta, rows, m, hi - lo, known)
+            _, lam[:, lo:hi, None] = _noise_threshold(known, delta, m,
+                                                      lambda: _mad_sigma(family, rows, m, hi - lo))
         detail_sum = scale @ _shrink_in_place(details, lam[:, None, :])
         # weight * _shrink(approx, lam) - detail_sum, written over approx
         np.multiply(_shrink_in_place(approx, lam), weight, out=approx)
@@ -211,8 +202,7 @@ def wavelet_prefix_estimates(y: np.ndarray, family: str, *, sigma, delta: float)
     are checked as :class:`DenoiseConfig` checks them (``ValueError``).
     Each row's estimates are bit-identical to a call with that row alone.
     """
-    _require_sigma_mode(sigma)
-    mad = isinstance(sigma, str)
+    mad = isinstance(sigma, str) and sigma == "mad"
     column = np.reshape(sigma, (-1, 1)) if np.ndim(sigma) else None
     _require_sigma_delta(0.0 if mad else sigma if column is None else column, delta)
     _require_transform("reflect", family)

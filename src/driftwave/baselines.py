@@ -168,8 +168,9 @@ def adaptive_window_sweep(y: np.ndarray, sigma, delta: float) -> WindowSweep:
     y = _series(y)
     Y = y.reshape(-1, y.shape[-1])
     T = Y.shape[1]
+    # checked as given, before the float64 conversion turns True into 1.0
+    _require_sigma_delta(np.asarray(sigma) if np.ndim(sigma) else sigma, delta)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), y.shape).reshape(Y.shape)
-    _require_sigma_delta(sigma, delta)
 
     centered = Y - Y[:, :1]
     sums = _cumsum0(centered)

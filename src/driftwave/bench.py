@@ -127,6 +127,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not self.levels:
+            raise ValueError("need at least one noise level")
         for level in self.levels:
             _require_finite_params(noise_level=level)
         if any(level < 0 for level in self.levels):
@@ -461,6 +463,8 @@ def bound_profile(
     the default threshold for the level's known sigma.  An unknown family or
     a boundary other than reflect/periodic raises ``ValueError``.
     """
+    if not families:
+        raise ValueError("need at least one family")
     _require_transform(boundary, *families)
     theta = np.asarray(theta, dtype=np.float64)
     n = len(theta)

@@ -14,6 +14,7 @@ variational bound, and its total-variation variant).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,7 +39,7 @@ MAD_SCALE = 0.6745
 class DenoiseConfig:
     """Estimator configuration.
 
-    ``sigma`` is the noise scale, or the string ``"mad"`` to estimate it from
+    ``sigma`` is the noise scale, or exactly ``"mad"`` to estimate it from
     the finest-level coefficients of the observed window.  ``lambda_override``
     bypasses the default threshold entirely.  The estimator keeps the most
     recent ``2**floor(log2(len))`` observations, so the estimand's
@@ -52,8 +53,8 @@ class DenoiseConfig:
     boundary: str = "reflect"
 
     def __post_init__(self):
-        _require_sigma_mode(self.sigma)
-        _require_sigma_delta(0.0 if self.sigma == "mad" else self.sigma, self.delta)
+        mad = isinstance(self.sigma, str) and self.sigma == "mad"
+        _require_sigma_delta(0.0 if mad else self.sigma, self.delta)
         _require_finite_params(lambda_override=self.lambda_override)
         if self.lambda_override is not None and self.lambda_override < 0:
             raise ValueError(f"lambda_override must be nonnegative, got {self.lambda_override}")
@@ -177,20 +178,16 @@ def _require_finite_output(values, name) -> None:
 
 
 def _require_finite_params(**params) -> None:
-    """ValueError naming the first parameter that is a bool, NaN or
-    infinite; None and strings (no override, ``sigma="mad"``) are not
-    numbers to check.  A bool is not a number here, as it is not a count."""
+    """ValueError naming the first parameter that is not a real number, or
+    is NaN or infinite; None (no override, no amplitude) passes.  A bool or
+    a string such as ``"0.5"`` is not a number here."""
     for name, value in params.items():
-        if isinstance(value, (bool, np.bool_)):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
-        if not isinstance(value, (str, type(None))) and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_sigma_mode(sigma) -> None:
-    """ValueError for a string sigma other than ``"mad"``."""
-    if isinstance(sigma, str) and sigma != "mad":
-        raise ValueError(f"sigma must be a number or 'mad', got {sigma!r}")
 
 
 def _require_count(name: str, value) -> None:
@@ -202,9 +199,11 @@ def _require_count(name: str, value) -> None:
 
 def _require_sigma_delta(sigma, delta: float) -> None:
     """ValueError unless sigma is finite and >= 0 and delta lies in (0, 1).
-    An array sigma is checked as its first bad value (NaN, infinite or
-    negative), in order, would be alone."""
+    An array sigma must hold integers or floats, and is then checked as its
+    first bad value (NaN, infinite or negative), in order, would be alone."""
     if isinstance(sigma, np.ndarray):
+        if sigma.dtype.kind not in "iuf":
+            raise ValueError(f"sigma must be a number or an array of numbers, got {sigma.dtype} values")
         bad = sigma[~(np.isfinite(sigma) & (sigma >= 0))]
         sigma = float(bad[0]) if bad.size else 0.0
     _require_finite_params(sigma=sigma, delta=delta)
@@ -261,27 +260,29 @@ def _shrink(coeffs: np.ndarray, lam) -> np.ndarray:
     return coeffs - np.minimum(lam, np.maximum(-lam, coeffs))
 
 
-def _noise_scale(cfg: DenoiseConfig, n_vec: int, mad):
-    """Noise scale of windows under a transform of length n_vec: the known
-    sigma as a float, or ``mad()`` (their MAD noise scales, one per window,
-    and per row of a stack, computed only here) as a column.  With a lambda
-    override a window too short for MAD reports 0."""
+def _noise_threshold(sigma, delta: float, n_used: int, mad, override=None):
+    """(sigma, lam) of windows of n_used observations, the one step from noise
+    scale to threshold of every estimate path and both sweeps: ``sigma`` is
+    the known noise scale (a float, or a column the caller shaped) or None for
+    ``mad()[..., None]``, computed only then; ``lam`` the override, else the
+    default threshold of sigma."""
+    if sigma is None:
+        sigma = mad()[..., None]
+    return sigma, _default_threshold(sigma, delta, n_used) if override is None else float(override)
+
+
+def _known_sigma(cfg: DenoiseConfig, n_vec: int) -> float | None:
+    """The known noise scale of ``cfg`` as a float, or None for the MAD of
+    windows under a transform of length n_vec.  A periodic window of 2
+    samples has a single finest coefficient: its noise scale is 0 under a
+    lambda override, where no threshold reads it, and TooShort otherwise."""
     if not isinstance(cfg.sigma, str):
         return float(cfg.sigma)
     if n_vec >= 4:
-        return mad()[..., None]
+        return None
     if cfg.lambda_override is not None:
         return 0.0
     raise TooShort(f"MAD estimation needs at least 4 coefficients, got {n_vec}")
-
-
-def _threshold(cfg: DenoiseConfig, n_used: int, sigma):
-    """Threshold of windows of n_used observations: the override, else the
-    default threshold of ``sigma()``, which is read only then.  A float or a
-    column, as the noise scale is."""
-    if cfg.lambda_override is not None:
-        return float(cfg.lambda_override)
-    return _default_threshold(sigma(), cfg.delta, n_used)
 
 
 def _estimate_rows(
@@ -298,8 +299,9 @@ def _estimate_rows(
     """
     n_used = windows.shape[1]
     basis = support_basis(cfg.family, n_used, cfg.boundary)
-    sigma = _noise_scale(cfg, basis.n, lambda: _mad_rows(finest(basis.family, windows, cfg.boundary)))
-    lam = _threshold(cfg, n_used, lambda: sigma)
+    sigma, lam = _noise_threshold(_known_sigma(cfg, basis.n), cfg.delta, n_used,
+                                  lambda: _mad_rows(finest(basis.family, windows, cfg.boundary)),
+                                  cfg.lambda_override)
     shrunk = _shrink(basis.coefficients(windows), lam)
     return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
 
@@ -333,8 +335,8 @@ def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     family = get_family(cfg.family)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         beta = pyramid_analysis(family, vec)
-        finest = beta[None, len(vec) // 2 :]
-        lam = _threshold(cfg, n_used, lambda: _noise_scale(cfg, len(vec), lambda: _mad_rows(finest)))
+        _, lam = _noise_threshold(_known_sigma(cfg, len(vec)), cfg.delta, n_used,
+                                  lambda: _mad_rows(beta[None, len(vec) // 2 :]), cfg.lambda_override)
         shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
         values = pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
     _require_finite_output(values, lambda i: f"denoised value {i}")

@@ -420,6 +420,64 @@ def test_wrong_typed_spec_value_is_one_line_config_error(tmp_path, command, spec
     assert proc.stderr.startswith("driftwave: config error: ")
 
 
+_PASS = {**_BENCH, "methods": [{"kind": "passthrough"}]}
+
+
+@pytest.mark.parametrize(
+    "command,spec,field",
+    [
+        pytest.param("bench", {**_PASS, "signal": {"kind": "sine", "n_points": 32, "frequency_warp": "x"}},
+                     "frequency_warp", id="bench-warp-x"),
+        pytest.param("bench", {**_PASS, "signal": {"kind": "random_coin", "n_points": 32, "cycles": "2"}},
+                     "cycles", id="bench-cycles-quoted"),
+        pytest.param("bench", {**_PASS, "signal": {"kind": "random_coin", "amplitude": "big"}},
+                     "amplitude", id="bench-amplitude-big"),
+        pytest.param("bench", {**_PASS, "delta": "0.5"}, "delta", id="bench-delta-quoted"),
+        pytest.param("tvscale", {**_TVSCALE, "tv_radius": "1"}, "tv_radius", id="tvscale-radius-1-quoted"),
+        pytest.param("tvscale", {**_TVSCALE, "sigma": "0.5"}, "sigma", id="tvscale-sigma-quoted"),
+        pytest.param("bench", {**_PASS, "noise": {"levels": []}}, "noise level", id="bench-no-levels"),
+        pytest.param("bounds", {**_BOUNDS, "noise": {"levels": []}}, "noise level", id="bounds-no-levels"),
+        pytest.param("bounds", {**_BOUNDS, "families": []}, "family", id="bounds-no-families"),
+    ],
+)
+def test_string_number_or_empty_grid_is_one_line_config_error(tmp_path, command, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: config error: ") and field in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
+def _readme_spec(heading: str) -> dict:
+    """The JSON block under ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_spec_examples_build():
+    """README's bench, tvscale and bounds spec examples build the library
+    objects they stand for, read as the CLI reads them, so a new refusal or
+    a renamed field cannot leave them stale."""
+    bench = _readme_spec("### bench spec")
+    cli._signal_from_spec(bench["signal"])
+    cli._noise_from_spec(bench["noise"])
+    methods = [make_method(m) for m in bench["methods"] if m["kind"] != "csv"]
+    signal, noise = SignalSpec("sine", 8), NoiseSpec(levels=(0.2,))
+    run_online_eval(signal, noise, methods, bench["trials"], 0, delta=bench["delta"])
+
+    tvscale = _readme_spec("### tvscale spec")
+    study = TVStudySpec(**{**tvscale, "n_grid": tuple(tvscale["n_grid"])})
+    make_method(study.estimator)
+
+    bounds = _readme_spec("### bounds spec")
+    theta = generate_signal(cli._signal_from_spec(bounds["signal"]), 0)
+    noise = cli._noise_from_spec(bounds["noise"])
+    bound_profile(theta, noise, tuple(bounds["families"]), delta=bounds["delta"])
+
+
 @pytest.mark.parametrize("where", ["series-below-a-file", "out-below-a-file", "name-too-long"])
 def test_os_error_is_one_line_input_error(tmp_path, where):
     series = tmp_path / "s.txt"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftwave import _kernels, denoise
 from driftwave.denoise import (
     MAD_SCALE,
     DenoiseConfig,
@@ -472,8 +473,14 @@ class TestHelpers:
 
 
 _THETA = np.linspace(0.0, 1.0, 16)
+_STACK = np.stack([_THETA] * 3)
+# the places that take a (B, 1) sigma column, called with the given column
+_COLUMN_CALLS = {
+    "prefix column sigma": lambda c: wavelet_prefix_estimates(_STACK, "db4", sigma=c, delta=0.1),
+    "adaptive sweep column sigma": lambda c: adaptive_window_sweep(_STACK, c, 0.1),
+}
 # every place that takes sigma, lambda or delta, called with one of them
-# replaced by the drawn value
+# replaced by the drawn value (the middle entry of a column)
 _PARAMETER_CALLS = {
     "DenoiseConfig sigma": lambda v: DenoiseConfig(sigma=v),
     "DenoiseConfig delta": lambda v: DenoiseConfig(delta=v),
@@ -483,12 +490,8 @@ _PARAMETER_CALLS = {
     "default_lambda delta": lambda v: default_lambda(1.0, v, 16),
     "prefix sigma": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma=v, delta=0.1),
     "prefix delta": lambda v: wavelet_prefix_estimates(_THETA, "db4", sigma="mad", delta=v),
-    "prefix column sigma": lambda v: wavelet_prefix_estimates(
-        np.stack([_THETA] * 3), "db4", sigma=np.array([[0.1], [v], [0.1]]), delta=0.1
-    ),
-    "adaptive sweep column sigma": lambda v: adaptive_window_sweep(
-        np.stack([_THETA] * 3), np.array([[0.1], [v], [0.1]]), 0.1
-    ),
+    **{k: lambda v, call=call: call(np.array([[0.1], [v], [0.1]])) for k, call in _COLUMN_CALLS.items()},
+    "adaptive sweep sigma": lambda v: adaptive_window_sweep(_THETA, v, 0.1),
     "bound_report sigma": lambda v: bound_report(_THETA, v, 0.1),
     "bound_report delta": lambda v: bound_report(_THETA, 0.1, v),
     "haar bound sigma": lambda v: haar_variational_bound(_THETA, v, 0.1),
@@ -520,9 +523,13 @@ class TestNonFiniteParameters:
             _PARAMETER_CALLS[where](bad)
 
 
+_NOT_NUMBERS = r"^sigma must be a number or an array of numbers, got {} values$"
+
+
 class TestBoolParameters:
-    """A bool is not a number: True is not 1.0 (a column is an array of
-    floats, so its entries are not bools)."""
+    """A bool is not a number: True is not 1.0, nor a bool column one of
+    1.0 and 0.0 (numpy makes True in a float column 1.0, so a column of
+    bools is drawn whole)."""
 
     @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if "column" not in k))
     @pytest.mark.parametrize("bad", [True, np.True_, False])
@@ -530,6 +537,40 @@ class TestBoolParameters:
         name = where.split()[-1]  # "radius" of tv_radius, "level" of noise_level
         with pytest.raises(ValueError, match=rf"^\w*{name}\w* must be a number, got {re.escape(repr(bad))}$"):
             _PARAMETER_CALLS[where](bad)
+
+    @pytest.mark.parametrize("where", sorted(_COLUMN_CALLS))
+    def test_bool_column_refused(self, where):
+        with pytest.raises(ValueError, match=_NOT_NUMBERS.format("bool")):
+            _COLUMN_CALLS[where](np.array([[True], [False], [True]]))
+
+
+class TestStringParameters:
+    """A number given as a string is not read as that number."""
+
+    @pytest.mark.parametrize("where", sorted(_PARAMETER_CALLS))
+    def test_refused_and_named(self, where):
+        if "column" in where:  # numpy makes the column an array of strings
+            match = _NOT_NUMBERS.format("<U32")
+        else:
+            match = rf"^\w*{where.split()[-1]}\w* must be a number, got '0\.5'$"
+        with pytest.raises(ValueError, match=match):
+            _PARAMETER_CALLS[where]("0.5")
+
+
+class TestNonRealSigma:
+    """Every sigma check refuses an array that does not hold integers or
+    floats, named as sigma's, before it reads a value of it."""
+
+    @pytest.mark.parametrize("where", sorted(k for k in _PARAMETER_CALLS if k.endswith("sigma")))
+    @pytest.mark.parametrize("bad, dtype", [
+        (np.array("mad"), "<U3"),
+        (np.array([[0.1], [1j], [0.1]]), "complex128"),
+        (np.array([[0.1], [None], [0.1]], dtype=object), "object"),
+    ], ids=["string-0d", "complex-column", "object-column"])
+    def test_refused_and_named(self, where, bad, dtype):
+        call = _COLUMN_CALLS.get(where, _PARAMETER_CALLS[where])
+        with pytest.raises(ValueError, match=_NOT_NUMBERS.format(re.escape(dtype))):
+            call(bad)
 
 
 class TestOutOfRangeParameters:
@@ -555,3 +596,39 @@ class TestOutOfRangeParameters:
     def test_delta_outside_the_unit_interval(self, where, bad):
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             _PARAMETER_CALLS[where](bad)
+
+
+_STEP_Y = np.abs(np.random.default_rng(3).normal(size=(2, 40))) + np.linspace(0.0, 1.0, 40)
+_STEP_SIGMAS = {"float": 0.3, "mad": "mad", "column": np.array([[0.2], [0.5]])}
+_STEP_CALLS = {
+    "estimate_latest": lambda s: estimate_latest(_STEP_Y[0], DenoiseConfig("db4", s)),
+    "select": lambda s: select([LossSeries(f"m{i}", y) for i, y in enumerate(_STEP_Y)], DenoiseConfig("db4", s)),
+    "denoise_signal": lambda s: denoise_signal(_STEP_Y[0], DenoiseConfig("db4", s)),
+    "db4 sweep": lambda s: wavelet_prefix_estimates(_STEP_Y, "db4", sigma=s, delta=0.1),
+    "haar sweep": lambda s: wavelet_prefix_estimates(_STEP_Y, "haar", sigma=s, delta=0.1),
+}
+
+
+class TestOneThresholdStep:
+    """Every estimate path and both sweeps take sigma and lambda from
+    ``denoise._noise_threshold``: once per estimate or stack, and once per
+    level of a sweep (the stack here is one chunk of rows), so no private
+    copy of the step can come back."""
+
+    @pytest.mark.parametrize("where, sigma", [
+        *((where, sigma) for where in sorted(_STEP_CALLS) for sigma in ("float", "mad")),
+        ("db4 sweep", "column"),
+        ("haar sweep", "column"),
+    ])
+    def test_every_path_reaches_it(self, monkeypatch, where, sigma):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = denoise._noise_threshold
+        monkeypatch.setattr(denoise, "_noise_threshold", counted)
+        monkeypatch.setattr(_kernels, "_noise_threshold", counted)
+        _STEP_CALLS[where](_STEP_SIGMAS[sigma])
+        assert len(calls) == (len(_kernels._levels(40)) if "sweep" in where else 1)
