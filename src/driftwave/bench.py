@@ -56,6 +56,8 @@ class SignalSpec:
         if self.kind not in kinds:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {kinds}")
         _require_count("n_points", self.n_points)
+        if not isinstance(self.resample_per_trial, bool):
+            raise ValueError(f"resample_per_trial must be true or false, got {self.resample_per_trial!r}")
         _require_finite_params(amplitude=self.amplitude, frequency_warp=self.frequency_warp,
                                cycles=self.cycles, tv_radius=self.tv_radius)
         if self.tv_radius < 0:
@@ -118,7 +120,7 @@ class NoiseSpec:
 
     ``uniform`` levels are half-widths B of a symmetric uniform law (known
     standard deviation B/sqrt(3)); ``gaussian`` levels are standard
-    deviations themselves.
+    deviations themselves.  The levels are kept as a tuple.
     """
 
     kind: str = "uniform"
@@ -127,6 +129,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("need at least one noise level")
         for level in self.levels:
@@ -162,13 +165,13 @@ class WaveletMethod:
     boundary = "reflect"
     stacked = True
 
-    def __init__(self, family: str, sigma_mode: str = "known", name: str | None = None):
-        if sigma_mode not in ("known", "mad"):
-            raise ValueError(f"sigma_mode must be 'known' or 'mad', got {sigma_mode!r}")
+    def __init__(self, family: str, sigma: str = "known", name: str | None = None):
+        if sigma not in ("known", "mad"):
+            raise ValueError(f"sigma must be 'known' or 'mad', got {sigma!r}")
         _require_transform(self.boundary, family)
         self.family = family
-        self.sigma_mode = sigma_mode
-        self.name = name or (family if sigma_mode == "known" else f"{family}_mad")
+        self.sigma_mode = sigma
+        self.name = name or (family if sigma == "known" else f"{family}_mad")
 
     def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         sigma = known_sigma if self.sigma_mode == "known" else "mad"
@@ -181,11 +184,11 @@ class AdaptiveWindowMethod:
 
     stacked = True
 
-    def __init__(self, sigma_mode: str = "known", name: str | None = None):
-        if sigma_mode not in ("known", "proxy"):
-            raise ValueError(f"sigma_mode must be 'known' or 'proxy', got {sigma_mode!r}")
-        self.sigma_mode = sigma_mode
-        self.name = name or ("avg" if sigma_mode == "known" else "avg_proxy")
+    def __init__(self, sigma: str = "known", name: str | None = None):
+        if sigma not in ("known", "proxy"):
+            raise ValueError(f"sigma must be 'known' or 'proxy', got {sigma!r}")
+        self.sigma_mode = sigma
+        self.name = name or ("avg" if sigma == "known" else "avg_proxy")
 
     def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         sigma = known_sigma
@@ -214,6 +217,9 @@ class PassthroughMethod:
 
     name = "passthrough"
     stacked = True
+
+    def __init__(self):  # an explicit signature names a stray spec key
+        pass
 
     def prefix_estimates(self, y: np.ndarray, known_sigma, delta: float) -> np.ndarray:
         return np.array(y, dtype=np.float64)
@@ -291,33 +297,32 @@ def load_estimates_csv(stream) -> np.ndarray:
     return np.array(values)
 
 
+def _csv_method(path: str, name: str | None = None) -> CsvReplayMethod:
+    """The :class:`CsvReplayMethod` of the file at ``path``, checked before it is opened."""
+    # open() takes an int as a file descriptor: True would read, then close, stdout
+    if not isinstance(path, str):
+        raise ValueError(f"a csv method's path must be a string, got {path!r}")
+    with open(path, "rb") as fh:
+        estimates = load_estimates_csv(io.StringIO(decode_text(fh.read()), newline=""))
+    return CsvReplayMethod(path if name is None else name, estimates)
+
+
+_METHOD_KINDS = {"wavelet": WaveletMethod, "adaptive_window": AdaptiveWindowMethod,
+                 "fixed_window": FixedWindowMethod, "passthrough": PassthroughMethod, "csv": _csv_method}
+
+
 def make_method(spec: dict):
-    """Build a method from its spec-file form (see README for the schema).
-    A spec that is not a dict, or a missing or wrong-typed field, raises
-    ``ValueError``, ``KeyError`` or ``TypeError``; a csv path is checked
-    before its file is opened."""
+    """Build a method from its spec-file form (see README for the schema):
+    ``kind`` picks the constructor in ``_METHOD_KINDS``, and every other
+    key is one of its keyword arguments.  A spec that is not a dict, an
+    unknown kind or key, or a missing or wrong-typed field raises
+    ``ValueError`` or ``TypeError``."""
     if not isinstance(spec, dict):
         raise ValueError(f"a method spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
-    if kind == "wavelet":
-        return WaveletMethod(
-            spec["family"], spec.get("sigma", "known"), spec.get("name")
-        )
-    if kind == "adaptive_window":
-        return AdaptiveWindowMethod(spec.get("sigma", "known"), spec.get("name"))
-    if kind == "fixed_window":
-        return FixedWindowMethod(spec["window"], spec.get("name"))
-    if kind == "passthrough":
-        return PassthroughMethod()
-    if kind == "csv":
-        path = spec["path"]
-        # open() takes an int as a file descriptor: True would read, then close, stdout
-        if not isinstance(path, str):
-            raise ValueError(f"a csv method's path must be a string, got {path!r}")
-        with open(path, "rb") as fh:
-            estimates = load_estimates_csv(io.StringIO(decode_text(fh.read()), newline=""))
-        return CsvReplayMethod(spec.get("name", path), estimates)
-    raise ValueError(f"unknown method kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _METHOD_KINDS:
+        raise ValueError(f"unknown method kind {kind!r}")
+    return _METHOD_KINDS[kind](**{k: v for k, v in spec.items() if k != "kind"})
 
 
 # --- reports -----------------------------------------------------------------

@@ -114,12 +114,10 @@ def _signal_from_spec(spec: dict) -> SignalSpec:
         raise ValueError(f"bad signal spec: {exc}") from exc
 
 
-def _noise_from_spec(spec) -> NoiseSpec:
-    if not isinstance(spec, dict):
-        raise ValueError(f"bad noise spec: expected a JSON object, got {spec!r}")
+def _noise_from_spec(spec: dict) -> NoiseSpec:
     try:
-        return NoiseSpec(kind=spec.get("kind", "uniform"), levels=tuple(spec["levels"]))
-    except (TypeError, ValueError, KeyError) as exc:
+        return NoiseSpec(**spec)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad noise spec: {exc}") from exc
 
 
@@ -145,33 +143,19 @@ def cmd_denoise(args) -> str:
 def cmd_bench(args) -> str:
     _require_seed(args)
     spec = _load_spec(args.spec)
-    signal = _signal_from_spec(spec.get("signal", {}))
-    noise = _noise_from_spec(spec.get("noise", {}))
-    trials = args.trials if args.trials is not None else spec.get("trials", 5)
-    methods = [make_method(m) for m in spec.get("methods", [])]
-    report = run_online_eval(
-        signal,
-        noise,
-        methods,
-        trials=trials,
-        base_seed=args.seed,
-        delta=spec.get("delta", 0.1),
-    )
+    report = run_online_eval(**{
+        **spec,
+        "signal": _signal_from_spec(spec.get("signal", {})),
+        "noise": _noise_from_spec(spec.get("noise", {})),
+        "methods": [make_method(m) for m in spec.get("methods", [])],
+        "trials": args.trials if args.trials is not None else spec.get("trials", 5),
+    }, base_seed=args.seed)
     return report.to_text(args.format)
 
 
 def cmd_tvscale(args) -> str:
     _require_seed(args)
-    raw = _load_spec(args.spec)
-    spec = TVStudySpec(
-        tv_radius=raw["tv_radius"],
-        sigma=raw["sigma"],
-        n_grid=tuple(raw["n_grid"]),
-        trials=raw.get("trials", 10),
-        estimator=raw.get("estimator", {"kind": "wavelet", "family": "haar"}),
-        delta=raw.get("delta", 0.1),
-    )
-    fit = run_tv_study(spec, base_seed=args.seed)
+    fit = run_tv_study(TVStudySpec(**_load_spec(args.spec)), base_seed=args.seed)
     return fit.to_text(args.format)
 
 
@@ -184,17 +168,13 @@ def cmd_select(args) -> str:
 
 def cmd_bounds(args) -> str:
     spec = _load_spec(args.spec)
-    signal = _signal_from_spec(spec.get("signal", {}))
+    signal = _signal_from_spec(spec.pop("signal", {}))
     noise = _noise_from_spec(spec.get("noise", {}))
     if signal.stochastic:
         _require_seed(args)
     theta = generate_signal(signal, args.seed if args.seed is not None else 0)
     families = tuple(spec.get("families", ("haar", "db8")))
-    profile = bound_profile(
-        theta, noise, families,
-        delta=spec.get("delta", 0.1),
-        boundary=spec.get("boundary", "reflect"),
-    )
+    profile = bound_profile(theta, **{**spec, "noise": noise, "families": families})
     return profile.to_text(args.format)
 
 

@@ -55,6 +55,8 @@ class DenoiseConfig:
     def __post_init__(self):
         mad = isinstance(self.sigma, str) and self.sigma == "mad"
         _require_sigma_delta(0.0 if mad else self.sigma, self.delta)
+        if np.ndim(self.sigma) > 0:
+            raise ValueError(f"sigma must be one number or 'mad', got shape {np.shape(self.sigma)}")
         _require_finite_params(lambda_override=self.lambda_override)
         if self.lambda_override is not None and self.lambda_override < 0:
             raise ValueError(f"lambda_override must be nonnegative, got {self.lambda_override}")
@@ -87,12 +89,12 @@ class BoundReport:
 
 
 def soft_threshold(x, lam):
-    """x - clip(x, -lam, lam): sign(x) * max(|x| - lam, 0), with every killed
-    value +0.0.  Elementwise on arrays (:func:`_shrink`); an array ``lam``
-    broadcasts against x.  A negative or NaN threshold raises ValueError."""
+    """x - clip(x, -lam, lam): sign(x) * max(|x| - lam, 0), with every killed value
+    +0.0.  Elementwise on arrays (:func:`_shrink`); an array ``lam`` broadcasts
+    against x, even a scalar x.  A negative or NaN threshold raises ValueError."""
     if not np.all(np.asarray(lam) >= 0):
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    if np.isscalar(x):
+    if np.isscalar(x) and np.ndim(lam) == 0:
         return float(x - min(max(x, -lam), lam))
     return _shrink(np.asarray(x, dtype=np.float64), lam)
 

@@ -22,12 +22,12 @@ from .errors import LengthMismatch
 
 @dataclass(frozen=True)
 class TVStudySpec:
-    """Study parameters: TV radius, noise scale, horizon grid, estimator."""
+    """Study parameters: TV radius, noise scale, horizon grid, trials, estimator spec."""
 
     tv_radius: float
     sigma: float
     n_grid: tuple[int, ...]
-    trials: int
+    trials: int = 10
     estimator: dict = field(default_factory=lambda: {"kind": "wavelet", "family": "haar"})
     delta: float = 0.1
 
@@ -102,7 +102,7 @@ def run_tv_study(spec: TVStudySpec, base_seed: int) -> ScalingFit:
     Trial streams are seeded by (base_seed, n, trial), so the draws of a
     horizon do not depend on the other horizons or on the trial count.
     """
-    estimator = make_method(dict(spec.estimator))
+    estimator = make_method(spec.estimator)
     grid = tuple(spec.n_grid)
 
     per_n = np.empty((len(grid), spec.trials, 2))

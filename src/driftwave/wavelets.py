@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -295,7 +295,18 @@ def build_matrix(family: WaveletFamily, n: int) -> TransformMatrix:
     return TransformMatrix(family, n, rows, tuple(index_map))
 
 
-@lru_cache(maxsize=64)
+def _cached_by_family(fn):
+    """``lru_cache(maxsize=64)`` of fn(family_name, ...), keyed on the
+    family's canonical name, so "DB8" and "db8" (or "haar", "HAAR" and
+    "db1") share one entry; ``cache_clear`` and ``cache_info`` are the
+    cache's own."""
+    cached = lru_cache(maxsize=64)(fn)
+    by_family = wraps(fn)(lambda family_name, *args: cached(get_family(family_name).name, *args))
+    by_family.cache_clear, by_family.cache_info = cached.cache_clear, cached.cache_info
+    return by_family
+
+
+@_cached_by_family
 def cached_matrix(family_name: str, n: int) -> TransformMatrix:
     """Memoized :func:`build_matrix`; safe to share, the matrix is immutable."""
     return build_matrix(get_family(family_name), n)
@@ -531,7 +542,7 @@ def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndar
     return _filter_down(family.highpass, *pieces)
 
 
-@lru_cache(maxsize=64)
+@_cached_by_family
 def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     """The :class:`SupportBasis` of ``family_name`` for windows of m samples
     under ``boundary`` (``"reflect"`` or ``"periodic"``).

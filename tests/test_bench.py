@@ -77,6 +77,12 @@ class TestSignals:
         with pytest.raises(ValueError, match="n_points must be a positive integer"):
             SignalSpec("sine", n_points)
 
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [], np.bool_(True)])
+    def test_resample_per_trial_must_be_a_bool(self, value):
+        # "false" and "no" are truthy: taken as given they would redraw the truth
+        with pytest.raises(ValueError, match="resample_per_trial must be true or false"):
+            SignalSpec("random_coin", 8, resample_per_trial=value)
+
 
 class TestNoise:
     def test_uniform_known_sigma(self):
@@ -96,6 +102,10 @@ class TestNoise:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             NoiseSpec("laplace", (0.1,))
+
+    def test_levels_kept_as_a_tuple(self):
+        assert NoiseSpec(levels=[0.2, 1]).levels == (0.2, 1)
+        assert NoiseSpec().levels == (0.2, 0.3, 0.5, 0.7, 1.0)
 
 
 class TestOnlineEval:
@@ -436,6 +446,19 @@ class TestMakeMethod:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_method({"kind": "kalman"})
+
+    @pytest.mark.parametrize("spec, cls, attrs", [
+        ({"kind": "wavelet", "family": "db4", "sigma": "mad", "name": "w"}, WaveletMethod,
+         {"family": "db4", "sigma_mode": "mad", "name": "w"}),
+        ({"kind": "adaptive_window", "sigma": "proxy"}, AdaptiveWindowMethod,
+         {"sigma_mode": "proxy", "name": "avg_proxy"}),
+        ({"kind": "fixed_window", "window": 8}, FixedWindowMethod, {"window": 8, "name": "window8"}),
+        ({"kind": "passthrough"}, PassthroughMethod, {"name": "passthrough"}),
+    ])
+    def test_keys_are_the_constructor_keywords(self, spec, cls, attrs):
+        method = make_method(spec)
+        assert type(method) is cls
+        assert {k: getattr(method, k) for k in attrs} == attrs
 
     @pytest.mark.parametrize("spec", [5, "wavelet", ["wavelet"], None])
     def test_spec_must_be_a_dict(self, spec):

@@ -450,6 +450,108 @@ def test_string_number_or_empty_grid_is_one_line_config_error(tmp_path, command,
     assert proc.stdout == ""
 
 
+_METHODS = {
+    "wavelet": {"kind": "wavelet", "family": "haar", "sigma": "mad"},
+    "adaptive_window": {"kind": "adaptive_window", "sigma": "proxy"},
+    "fixed_window": {"kind": "fixed_window", "window": 4},
+    "passthrough": {"kind": "passthrough"},
+    "csv": {"kind": "csv", "path": "replay.csv", "name": "replay"},
+}
+_ESTIMATOR = {**_TVSCALE, "estimator": {"kind": "wavelet", "family": "db2"}}
+# (command, spec, the keys that lead to the object a stray key goes into)
+_SPEC_OBJECTS = {
+    "bench": ("bench", _PASS, ()),
+    "bench-signal": ("bench", _PASS, ("signal",)),
+    "bench-noise": ("bench", _PASS, ("noise",)),
+    **{f"method-{kind}": ("bench", {**_BENCH, "methods": [method]}, ("methods", 0))
+       for kind, method in _METHODS.items()},
+    "tvscale": ("tvscale", _TVSCALE, ()),
+    "tvscale-estimator": ("tvscale", _ESTIMATOR, ("estimator",)),
+    "bounds": ("bounds", _BOUNDS, ()),
+    "bounds-signal": ("bounds", _BOUNDS, ("signal",)),
+    "bounds-noise": ("bounds", _BOUNDS, ("noise",)),
+}
+
+
+@pytest.fixture
+def replay_dir(tmp_path, monkeypatch):
+    """A working directory holding ``replay.csv``, 32 estimates for the csv method."""
+    (tmp_path / "replay.csv").write_text("t,estimate\n" + "".join(f"{t},0.5\n" for t in range(1, 33)))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", list(_SPEC_OBJECTS))
+def test_unknown_spec_key_is_one_line_config_error(replay_dir, name):
+    """Every key of a spec object is a keyword of the call it builds: the
+    spec runs as given, and the same spec with a stray key exits 3 naming it."""
+    command, spec, where = _SPEC_OBJECTS[name]
+    spec = json.loads(json.dumps(spec))
+    path = replay_dir / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(command, str(path), "--seed", "1").returncode == 0
+    target = spec
+    for key in where:
+        target = target[key]
+    target["zz"] = 1
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", "1")
+    assert proc.returncode == 3, proc.stdout
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: config error: ") and "'zz'" in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command,spec,key",
+    [
+        pytest.param("bench", {**_BENCH, "methods": [{"kind": "wavelet", "family": "haar",
+                                                     "sigma_mode": "mad"}]},
+                     "sigma_mode", id="method-sigma_mode"),
+        pytest.param("bench", {**_PASS, "trails": 2}, "trails", id="bench-trails"),
+        pytest.param("bounds", {**_BOUNDS, "familes": ["db4"]}, "familes", id="bounds-familes"),
+        pytest.param("bench", {**_PASS, "noise": {"knd": "gaussian", "levels": [0.2]}}, "knd",
+                     id="noise-knd"),
+        pytest.param("tvscale", {**_TVSCALE, "estimatr": {"kind": "wavelet", "family": "db4"}}, "estimatr",
+                     id="tvscale-estimatr"),
+        # a key the CLI fills in itself is refused, not overwritten
+        pytest.param("bench", {**_PASS, "base_seed": 3}, "base_seed", id="bench-base_seed"),
+        pytest.param("bounds", {**_BOUNDS, "theta": [0.0]}, "theta", id="bounds-theta"),
+        pytest.param("bench", {**_BENCH, "methods": [{"kind": "passthrough", "name": "raw"}]}, "name",
+                     id="passthrough-name"),
+        # "false" is truthy: taken as given it would redraw the truth every trial
+        pytest.param("bench", {**_PASS, "signal": {"kind": "random_coin", "n_points": 32,
+                                                   "resample_per_trial": "false"}},
+                     "resample_per_trial", id="signal-resample-false"),
+    ],
+)
+def test_misspelled_or_wrong_key_is_one_line_config_error(tmp_path, command, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", "1")
+    assert proc.returncode == 3, proc.stdout
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("driftwave: config error: ") and key in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["bench", "bounds"])
+@pytest.mark.parametrize("noise", [None, {}, {"kind": "gaussian"}])
+def test_omitted_noise_keys_take_the_library_defaults(tmp_path, command, noise):
+    """No noise object, or one without levels, takes NoiseSpec's defaults:
+    uniform noise, unless a kind is given, at (0.2, 0.3, 0.5, 0.7, 1.0)."""
+    spec = {**(_PASS if command == "bench" else _BOUNDS)}
+    del spec["noise"]
+    if noise is not None:
+        spec["noise"] = noise
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli(command, str(path), "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    levels = [row.split(",")[1] for row in proc.stdout.splitlines()[1:]]
+    assert levels[:5] == ["0.2", "0.3", "0.5", "0.7", "1.0"]
+
+
 def _readme_spec(heading: str) -> dict:
     """The JSON block under ``heading`` in README.md."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

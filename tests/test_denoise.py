@@ -57,6 +57,23 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    def test_scalar_x_broadcasts_against_an_array_threshold(self):
+        lam = np.array([0.1, 0.7])
+        out = soft_threshold(0.5, lam)
+        assert out.shape == (2,)
+        assert out.tobytes() == soft_threshold(np.array([0.5, 0.5]), lam).tobytes()
+
+    @pytest.mark.parametrize("x, lam, want", [
+        (-0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (-0.5, 0.5, 0.0),
+        (0.7, 0.5, 0.19999999999999996), (-0.7, 0.5, -0.19999999999999996),
+        (0.7, np.array(0.5), 0.19999999999999996),
+    ])
+    def test_scalar_x_with_a_scalar_threshold_is_a_float(self, x, lam, want):
+        # ties and -0.0 are killed to +0.0; a 0-d threshold is a scalar one
+        out = soft_threshold(x, lam)
+        assert type(out) is float
+        assert np.float64(out).tobytes() == np.float64(want).tobytes()
+
     @pytest.mark.parametrize(
         "x, lam",
         [(np.array([1.0, -2.0]), float("nan")), (1.0, float("nan")),
@@ -571,6 +588,21 @@ class TestNonRealSigma:
         call = _COLUMN_CALLS.get(where, _PARAMETER_CALLS[where])
         with pytest.raises(ValueError, match=_NOT_NUMBERS.format(re.escape(dtype))):
             call(bad)
+
+
+class TestConfigSigmaShape:
+    """A configuration's sigma is one number: an array of one or more axes is
+    refused when the configuration is built, not when an estimate reads it."""
+
+    @pytest.mark.parametrize("sigma", [np.array([0.1, 0.2]), np.array([[0.3]])], ids=["(2,)", "(1, 1)"])
+    def test_array_refused_at_construction(self, sigma):
+        with pytest.raises(ValueError, match=r"^sigma must be one number or 'mad', got shape \("):
+            DenoiseConfig(sigma=sigma)
+
+    def test_zero_dimensional_array_is_a_number(self):
+        y = np.linspace(0.0, 1.0, 16)
+        want = estimate_latest(y, DenoiseConfig(sigma=0.3))
+        assert estimate_latest(y, DenoiseConfig(sigma=np.array(0.3))) == want
 
 
 class TestOutOfRangeParameters:

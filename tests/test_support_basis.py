@@ -207,6 +207,14 @@ class TestBasisMatchesDense:
         with pytest.raises(ValueError, match="boundary must be 'reflect' or 'periodic'"):
             support_basis("db2", 8, "zero")
 
+    def test_one_basis_per_family_whatever_its_spelling(self):
+        support_basis.cache_clear()
+        assert support_basis("DB8", 256, "reflect") is support_basis("db8", 256, "reflect")
+        haar = support_basis("haar", 8, "reflect")
+        assert support_basis("db1", 8, "reflect") is haar and support_basis("HAAR", 8, "reflect") is haar
+        assert support_basis.cache_info().currsize == 2
+        support_basis.cache_clear()
+
     def test_horizon_over_the_byte_budget_refused(self, monkeypatch):
         # db8 at n = 2048: the synthesis of 101 rows of 2048 float64
         need = 101 * 2048 * 8

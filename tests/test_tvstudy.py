@@ -79,6 +79,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="trials must be a positive integer"):
             TVStudySpec(1.0, 1.0, (64,), trials)
 
+    def test_trials_default_to_ten(self):
+        assert TVStudySpec(1.0, 1.0, (64,)).trials == 10
+
     def test_numpy_integer_counts_accepted(self):
         spec = TVStudySpec(1.0, 0.5, (np.int64(32), np.int64(64)), np.int64(1))
         fit = run_tv_study(spec, base_seed=0)

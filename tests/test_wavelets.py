@@ -116,6 +116,13 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             W.rows[0, 0] = 1.0
 
+    def test_one_cached_matrix_per_family_whatever_its_spelling(self):
+        cached_matrix.cache_clear()
+        assert cached_matrix("DB4", 16) is cached_matrix("db4", 16)
+        assert cached_matrix("haar", 8) is cached_matrix("db1", 8) is cached_matrix("HAAR", 8)
+        assert cached_matrix.cache_info().currsize == 2
+        cached_matrix.cache_clear()
+
 
 class TestTransforms:
     def test_forward_constant_signal(self):
