@@ -27,7 +27,7 @@ import numpy as np
 
 from .bench import (NoiseSpec, SignalSpec, bound_profile, decode_text, generate_signal,
                     make_method, run_online_eval, table_text)
-from .denoise import DenoiseConfig, denoise_signal, estimate_latest
+from .denoise import DenoiseConfig, _require_count, denoise_signal, estimate_latest
 from .errors import DomainError, DriftwaveError, NonFiniteValue, ParseError
 from .selection import ingest_panel, select
 from .tvstudy import TVStudySpec, run_tv_study
@@ -143,6 +143,8 @@ def cmd_denoise(args) -> str:
 def cmd_bench(args) -> str:
     _require_seed(args)
     spec = _load_spec(args.spec)
+    if "trials" in spec:  # checked even where --trials overrides it
+        _require_count("trials", spec["trials"])
     report = run_online_eval(**{
         **spec,
         "signal": _signal_from_spec(spec.get("signal", {})),

@@ -6,16 +6,18 @@ cascading one-level periodized analysis matrices; it costs O(n**3) time and
 O(n**2) memory and serves as the oracle that tests compare against.  The
 computation goes through :class:`SupportBasis`, one per (family, window
 length m, boundary): the estimator only needs the O(L log n) coefficients
-(L taps) whose basis functions reach the newest sample, and their rows come
-from pyramid synthesis of unit coefficient vectors (Mallat 1989) in
-O(n L |S|), kept as one array that acts on the window itself (the reflect
-fold absorbed).  :meth:`SupportBasis.sliding` gives the coefficients of up
-to m consecutive windows of a series as one FFT correlation with the rows,
-O(|S| m log m) rather than O(|S| m**2); its FFT product and lags are
-written into two scratch buffers that each thread keeps for reuse
-(:func:`_scratch`), so a sweep allocates no large temporaries.  The MAD
-noise scale's finest-level coefficients need only the high-pass taps:
-:func:`finest` is the first high-pass step of :func:`pyramid_analysis`.
+(L taps) whose basis functions reach the newest sample.  Their rows are
+kept as one array that acts on the window itself (the reflect fold
+absorbed), built from one pyramid synthesis (Mallat 1989) per band (the
+approximation row, or one level's detail rows, which are circular shifts
+of one another) in O(n L bands + |S| m), bands <= log2(n) + 1.
+:meth:`SupportBasis.sliding` gives the coefficients of up to m consecutive
+windows of a series as one FFT correlation with the rows, O(|S| m log m)
+rather than O(|S| m**2); its FFT product and lags are written into two
+scratch buffers that each thread keeps for reuse (:func:`_scratch`), so a
+sweep allocates no large temporaries.  The MAD noise scale's finest-level
+coefficients need only the high-pass taps: :func:`finest` is the first
+high-pass step of :func:`pyramid_analysis`.
 
 Row order, shared by both: the single approximation row first, then detail
 rows coarse-to-fine; within a level, positions run left to right (oldest to
@@ -28,6 +30,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from itertools import groupby
 
 import numpy as np
 
@@ -133,11 +136,12 @@ FAMILY_NAMES = tuple(_FILTERS)
 # zeros of the cascade are exact or <= 1e-15 after rounding.
 SUPPORT_EPS = 1e-12
 
-# Largest support basis (the synthesized rows, then the kept rows and the row
-# spectra a sweep keeps) that support_basis builds, and the largest block-sum
-# table of a Haar prefix sweep.  A db8 synthesis takes ~180 MB at transform
-# length 2**17 (a reflect-folded series of 2**16) and ~7.6 GB at 2**22, which
-# would end in an out-of-memory kill rather than an error.
+# Largest support basis (its |S| rows at the full transform length n, then
+# the kept rows and the row spectra a sweep keeps) that support_basis builds,
+# and the largest block-sum table of a Haar prefix sweep.  db8's |S| n 8
+# bytes are ~180 MB at transform length 2**17 (a reflect-folded series of
+# 2**16) and ~7.6 GB at 2**22, where a build would end in an out-of-memory
+# kill rather than an error.
 SUPPORT_BUDGET_BYTES = 1 << 30
 
 
@@ -186,6 +190,20 @@ def _scratch(slot: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     if buffers[slot].nbytes < nbytes:
         buffers[slot] = np.empty(nbytes, np.uint8)
     return buffers[slot][:nbytes].view(dtype).reshape(shape)
+
+
+def _empty_aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of ``shape`` whose data start on a
+    64-byte boundary.  numpy aligns data to 16 bytes only, and a block that
+    glibc maps on its own starts 16 bytes past a page boundary.  The rows of
+    a support basis are read by one BLAS vector-matrix product per window:
+    on a 2-vCPU AVX-512 Xeon with OpenBLAS 0.3.31, 8 windows of 1024 took
+    66 us against db8's 101 rows at a 64-byte boundary and 102 us at 16
+    bytes past one, which set select's speed by where the rows landed."""
+    nbytes = math.prod(shape) * 8
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(np.float64).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -548,10 +566,15 @@ def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     under ``boundary`` (``"reflect"`` or ``"periodic"``).
 
     The support is read off the pyramid analysis of the unit impulse at the
-    newest sample (the last column of W); each row is the pyramid synthesis
-    of its unit coefficient vector, folded (and dropped) under reflect.  Cost
-    O(n |S| L).  Raises :class:`HorizonTooLarge`, before the synthesis, when
-    its |S| n 8 bytes would exceed ``SUPPORT_BUDGET_BYTES``.
+    newest sample (the last column of W).  The rows come in bands: the
+    approximation row, and the detail rows of each level.  The rows of
+    level j are circular shifts of one another, by n / 2**j per position,
+    so each band's first row (its atom) is the pyramid synthesis of its
+    unit coefficient vector and every other row is gathered from it,
+    folded onto the window during the gather under reflect.  Cost
+    O(n L bands + |S| m), with bands <= log2(n) + 1; no |S| x n array is
+    formed.  Raises :class:`HorizonTooLarge`, before the synthesis, when
+    |S| n 8 bytes would exceed ``SUPPORT_BUDGET_BYTES``.
     """
     family = get_family(family_name)
     if boundary not in ("reflect", "periodic"):
@@ -563,11 +586,26 @@ def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     column = pyramid_analysis(family, impulse)
     support = np.flatnonzero(np.abs(column) > SUPPORT_EPS)
     _require_budget(f"the {family.name} support basis at transform length {n}", len(support) * n * 8)
-    units = np.zeros((len(support), n))
-    units[np.arange(len(support)), support] = 1.0
-    rows = pyramid_synthesis(family, units)
-    if n != m:
-        rows = np.ascontiguousarray(rows[:, :m][:, ::-1] + rows[:, m:])
+    # the bands: row 0 (bit length 0), then the rows 2**j .. 2**(j+1) - 1 of
+    # each level j (bit length j + 1)
+    bands = [list(band) for _, band in groupby(support.tolist(), int.bit_length)]
+    units = np.zeros((len(bands), n))
+    units[np.arange(len(bands)), [band[0] for band in bands]] = 1.0
+    atoms = pyramid_synthesis(family, units)
+    rows = _empty_aligned((len(support), m))
+    r = 0
+    for atom, band in zip(atoms, bands):
+        # row i of level j is the atom shifted right by (i - band[0]) n / 2**j,
+        # and n / 2**j = 2n >> (j + 1); two periods make every shift a slice
+        ext = np.concatenate((atom, atom)) if len(band) > 1 else atom
+        for i in band:
+            stop = len(ext) - (i - band[0]) * (2 * n >> i.bit_length())
+            row = ext[stop - n : stop]
+            if n != m:
+                np.add(row[:m][::-1], row[m:], out=rows[r])
+            else:
+                rows[r] = row
+            r += 1
     arrays = (support, column[support], rows)
     for a in arrays:
         a.setflags(write=False)

@@ -252,6 +252,23 @@ class TestBench:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("driftwave: config error: ")
 
+    @pytest.mark.parametrize("trials", ["x", None, 2.7, "2", 0, True])
+    def test_bad_spec_trials_refused_under_the_flag_too(self, tmp_path, trials):
+        """--trials overrides the spec's count, but does not hide a bad one."""
+        path = self.write_spec(tmp_path, trials=trials)
+        alone = run_cli("bench", str(path), "--seed", "1")
+        flagged = run_cli("bench", str(path), "--seed", "1", "--trials", "2")
+        assert alone.returncode == flagged.returncode == 3, flagged.stdout
+        assert alone.stderr == flagged.stderr == (
+            f"driftwave: config error: trials must be a positive integer, got {trials!r}\n"
+        )
+
+    def test_flag_overrides_a_good_spec_trials(self, tmp_path):
+        flagged = run_cli("bench", str(self.write_spec(tmp_path, trials=1)), "--seed", "1", "--trials", "3")
+        given = run_cli("bench", str(self.write_spec(tmp_path, trials=3)), "--seed", "1")
+        assert flagged.returncode == given.returncode == 0, flagged.stderr
+        assert flagged.stdout == given.stdout
+
     def test_byte_identical_across_runs(self, tmp_path):
         path = self.write_spec(
             tmp_path,

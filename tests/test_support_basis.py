@@ -18,6 +18,7 @@ family's high-pass taps, not from a basis, so the Haar sweep builds none.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -215,8 +216,91 @@ class TestBasisMatchesDense:
         assert support_basis.cache_info().currsize == 2
         support_basis.cache_clear()
 
+    @pytest.mark.parametrize("boundary", ["reflect", "periodic"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_rows_match_the_unit_vector_synthesis(self, family, boundary):
+        """Each band's rows, gathered from one synthesized atom, against the
+        synthesis of every row's own unit coefficient vector (folded under
+        reflect), for windows of 1 to 4096 samples: within 4 eps of the
+        basis's largest entry, and the same bytes for Haar, whose bands hold
+        one row each.  The support and weights are the impulse's analysis."""
+        fam = get_family(family)
+        eps = np.finfo(np.float64).eps
+        for m in (1 << k for k in range(13)):
+            n = 2 * m if boundary == "reflect" else m
+            if n < 2:
+                continue
+            basis = support_basis(family, m, boundary)
+            impulse = np.zeros(n)
+            impulse[-1] = 1.0
+            column = pyramid_analysis(fam, impulse)
+            support = np.flatnonzero(np.abs(column) > wavelets.SUPPORT_EPS)
+            assert basis.support.tobytes() == support.tobytes(), m
+            assert basis.weights.tobytes() == column[support].tobytes(), m
+            units = np.zeros((len(support), n))
+            units[np.arange(len(support)), support] = 1.0
+            want = pyramid_synthesis(fam, units)
+            if boundary == "reflect":
+                want = want[:, :m][:, ::-1] + want[:, m:]
+            assert basis.rows.shape == want.shape, m
+            if family == "haar":
+                assert basis.rows.tobytes() == want.tobytes(), m
+            np.testing.assert_allclose(
+                basis.rows, want, rtol=0, atol=4 * eps * np.abs(want).max(), err_msg=str(m)
+            )
+
+    @pytest.mark.parametrize(
+        "family,m,boundary,bands",
+        [("db8", 1024, "reflect", 12), ("db8", 1024, "periodic", 11), ("haar", 1024, "reflect", 12)],
+    )
+    def test_one_synthesis_row_per_band(self, monkeypatch, family, m, boundary, bands):
+        """A cold basis synthesizes one row per band (the approximation row,
+        and each level's detail rows), not one per support row: 12 against
+        101 for db8 at n = 2048."""
+        synthesized = []
+
+        def recording(fam, beta):
+            synthesized.append(math.prod(np.shape(beta)[:-1]))
+            return pyramid_synthesis(fam, beta)
+
+        monkeypatch.setattr(wavelets, "pyramid_synthesis", recording)
+        support_basis.cache_clear()
+        basis = support_basis(family, m, boundary)
+        support_basis.cache_clear()
+        assert sum(synthesized) == bands
+        assert len({int(i).bit_length() for i in basis.support}) == bands
+
+    def test_cold_build_peak_is_near_its_rows(self):
+        """A cold db8 basis for windows of 4096 samples (n = 8192, 127 rows)
+        holds no |S| x n array: its traced peak stays within 2.5 times the
+        folded rows it keeps (the unit-vector synthesis peaked at 7 times)."""
+        support_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            basis = support_basis("db8", 4096, "reflect")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            support_basis.cache_clear()
+        assert basis.rows.shape == (127, 4096)
+        assert peak <= 2.5 * basis.rows.nbytes, peak / basis.rows.nbytes
+
+    @pytest.mark.parametrize("family", ["haar", "db8"])
+    def test_rows_start_on_a_64_byte_boundary(self, family):
+        """The one-window product reads the rows at SIMD width whatever the
+        heap did before the basis was built."""
+        support_basis.cache_clear()
+        for m in (1, 16, 1024):
+            for boundary in ("reflect", "periodic"):
+                if boundary == "periodic" and m == 1:
+                    continue
+                rows = support_basis(family, m, boundary).rows
+                assert rows.ctypes.data % 64 == 0 and rows.flags.c_contiguous, (m, boundary)
+        support_basis.cache_clear()
+
     def test_horizon_over_the_byte_budget_refused(self, monkeypatch):
-        # db8 at n = 2048: the synthesis of 101 rows of 2048 float64
+        # db8 at n = 2048: 101 support rows of 2048 float64, the bound on
+        # the rows a basis is built from
         need = 101 * 2048 * 8
         support_basis.cache_clear()
         monkeypatch.setattr(wavelets, "SUPPORT_BUDGET_BYTES", need)
