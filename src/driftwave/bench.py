@@ -455,7 +455,7 @@ class BoundProfile(Table):
 def bound_profile(
     theta: np.ndarray,
     noise: NoiseSpec,
-    families: tuple[str, ...],
+    families: tuple[str, ...] = ("haar", "db8"),
     *,
     delta: float = 0.1,
     boundary: str = "reflect",
@@ -468,6 +468,7 @@ def bound_profile(
     the default threshold for the level's known sigma.  An unknown family or
     a boundary other than reflect/periodic raises ``ValueError``.
     """
+    families = tuple(families)
     if not families:
         raise ValueError("need at least one family")
     _require_transform(boundary, *families)
@@ -486,4 +487,4 @@ def bound_profile(
             lam = _default_threshold(sigmas, delta, m)  # 0.0, or one per noise level
             values[fi] += (np.minimum(coeff_abs, lam) @ (6.0 * np.abs(basis.weights))).sum(axis=-1)
     values /= n - 1  # prefixes t = 2..n
-    return BoundProfile(tuple(families), tuple(noise.levels), values)
+    return BoundProfile(families, tuple(noise.levels), values)

@@ -175,9 +175,7 @@ def cmd_bounds(args) -> str:
     if signal.stochastic:
         _require_seed(args)
     theta = generate_signal(signal, args.seed if args.seed is not None else 0)
-    families = tuple(spec.get("families", ("haar", "db8")))
-    profile = bound_profile(theta, **{**spec, "noise": noise, "families": families})
-    return profile.to_text(args.format)
+    return bound_profile(theta, **{**spec, "noise": noise}).to_text(args.format)
 
 
 def _add_denoise_flags(p: argparse.ArgumentParser):

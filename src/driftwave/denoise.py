@@ -3,9 +3,10 @@
 The estimator transforms the most recent dyadic window of observations,
 shrinks every coefficient toward zero by the threshold, reconstructs, and
 reads off the newest coordinate.  It works on a stack of equally long
-windows at once: one support-basis lookup, one MAD pass, one threshold and
-one reconstruction per stack.  :func:`estimate_latest` is the one-row case,
-and :func:`driftwave.selection.select` stacks a whole panel.  Alongside it
+series at once: one support-basis lookup, one MAD pass, one threshold and
+one reconstruction per stack.  ``_estimate_rows`` is the one intake (one
+refusal rule, naming the row): :func:`estimate_latest` is its one-row
+call, and :func:`driftwave.selection.select` stacks a whole panel.  Alongside it
 live the default threshold, the MAD noise-scale estimator, and the three
 error-bound calculators (coefficient-sparsity bound, dyadic-window
 variational bound, and its total-variation variant).
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
 from .wavelets import (
     CoefficientVector,
+    _require_boundary,
     finest,
     finest_level_coeffs,
     get_family,
@@ -159,12 +161,12 @@ def reflect_fold(window: np.ndarray) -> np.ndarray:
     return np.concatenate([window[::-1], window])
 
 
-def _require_finite(y: np.ndarray) -> None:
+def _require_finite(y: np.ndarray, name=lambda i: f"row {i}") -> None:
     """NonFiniteValue naming the first NaN or infinite observation of a
-    series, or of a (B, T) stack of series with its row."""
-    if not np.all(np.isfinite(y)):
+    series, or of a (B, T) stack of series with its row i as ``name(i)``."""
+    if not np.isfinite(y).all():
         bad = np.argwhere(~np.isfinite(y))[0]
-        where = f"row {bad[0]} observation {bad[1]}" if y.ndim == 2 else f"observation {bad[0]}"
+        where = f"{name(bad[0])} observation {bad[1]}" if y.ndim == 2 else f"observation {bad[0]}"
         raise NonFiniteValue(f"{where} is {float(y[tuple(bad)])}; need finite values")
 
 
@@ -218,8 +220,7 @@ def _require_sigma_delta(sigma, delta: float) -> None:
 def _require_transform(boundary: str, *families: str) -> None:
     """ValueError for a boundary other than reflect/periodic or an unknown
     wavelet family."""
-    if boundary not in ("reflect", "periodic"):
-        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
+    _require_boundary(boundary)
     for family in families:
         try:
             get_family(family)
@@ -227,12 +228,16 @@ def _require_transform(boundary: str, *families: str) -> None:
             raise ValueError(exc.args[0]) from None
 
 
-def _window(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or len(y) < 2:
-        raise TooShort(f"need at least 2 observations, got {y.shape}")
-    _require_finite(y)
-    return dyadic_truncate(y)
+def _dyadic_windows(Y: np.ndarray, name) -> np.ndarray:
+    """The newest dyadic window of each row of a (B, T) stack, by the one
+    intake rule: TooShort unless Y is (B, T), NonFiniteValue naming the first
+    NaN or infinite observation's row as ``name(i)``, then TooShort if T < 2."""
+    if Y.ndim != 2:
+        raise TooShort(f"need a series of observations, got shape {Y.shape[1:]}")
+    _require_finite(Y, name)
+    if Y.shape[1] < 2:
+        raise TooShort(f"need at least 2 observations, got {Y.shape[1]}")
+    return dyadic_truncate(Y)
 
 
 def _mad_rows(finest: np.ndarray) -> np.ndarray:
@@ -288,24 +293,29 @@ def _known_sigma(cfg: DenoiseConfig, n_vec: int) -> float | None:
 
 
 def _estimate_rows(
-    windows: np.ndarray, cfg: DenoiseConfig
+    Y: np.ndarray, cfg: DenoiseConfig, name
 ) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
-    """(value, lambda, sigma_used) of each row of a (B, n_used) stack of
-    finite dyadic windows, oldest to newest; lambda and sigma_used are a
-    float shared by every row or a (B, 1) column.
+    """(value, lambda, sigma_used) of each row of a (B, T) float64 stack of
+    series, oldest to newest: the one intake of every latest-value estimate.
+    lambda and sigma_used are a float shared by every row or a (B, 1) column.
 
+    It refuses by :func:`_dyadic_windows`, then refuses a row whose value,
+    lambda or sigma_used overflows with NonFiniteValue naming ``name(i)``.
     One support-basis lookup, one MAD pass, one threshold and one
-    reconstruction for the whole stack.  Each row goes through the same
-    steps (the products are stacked vector products), so a row's results do
-    not depend on the rows stacked with it.
+    reconstruction for the whole stack; each row goes through the same steps
+    (stacked vector products), so its results do not depend on the others.
     """
+    windows = _dyadic_windows(Y, name)
     n_used = windows.shape[1]
-    basis = support_basis(cfg.family, n_used, cfg.boundary)
-    sigma, lam = _noise_threshold(_known_sigma(cfg, basis.n), cfg.delta, n_used,
-                                  lambda: _mad_rows(finest(basis.family, windows, cfg.boundary)),
-                                  cfg.lambda_override)
-    shrunk = _shrink(basis.coefficients(windows), lam)
-    return (shrunk[:, None, :] @ basis.weights)[:, 0], lam, sigma
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        basis = support_basis(cfg.family, n_used, cfg.boundary)
+        sigma, lam = _noise_threshold(_known_sigma(cfg, basis.n), cfg.delta, n_used,
+                                      lambda: _mad_rows(finest(basis.family, windows, cfg.boundary)),
+                                      cfg.lambda_override)
+        values = _shrink(basis.coefficients(windows), lam)[:, None, :] @ basis.weights  # (B, 1)
+        overflowed = values + 0.0 * lam + 0.0 * sigma  # NaN where lambda or sigma is not finite
+    _require_finite_output(overflowed, lambda i: f"the estimate, threshold or noise scale of {name(i)}")
+    return values[:, 0], lam, sigma
 
 
 def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
@@ -316,32 +326,27 @@ def estimate_latest(y: np.ndarray, cfg: DenoiseConfig) -> Estimate:
     only the coefficients in the window's support basis contribute.
     ``n_used`` reports the number of observations entering the window, not
     the transform length (which doubles under the reflect boundary).
-    NaN or infinite observations, or an estimate, threshold or noise scale
-    that overflows, raise :class:`NonFiniteValue`.
+    The one-row call of :func:`_estimate_rows`, naming the series ``y``.
     """
-    window = _window(y)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        values, lam, sigma = _estimate_rows(window[None, :], cfg)
-    lam, sigma = float(np.ravel(lam)[0]), float(np.ravel(sigma)[0])
-    est = Estimate(float(values[0]), lam, sigma, len(window))
-    _require_finite_output([est.value, lam, sigma], lambda i: repr(est))
-    return est
+    values, lam, sigma = _estimate_rows(np.asarray(y, dtype=np.float64)[None], cfg, lambda i: "y")
+    lam, sigma = (float(x[0, 0]) if isinstance(x, np.ndarray) else x for x in (lam, sigma))
+    return Estimate(float(values[0]), lam, sigma, 1 << (len(y).bit_length() - 1))
 
 
 def denoise_signal(y: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Denoised values aligned to the most recent ``n_used`` time-points.
-    Non-finite observations or outputs raise :class:`NonFiniteValue`."""
-    window = _window(y)
+    Refuses what :func:`estimate_latest` refuses, in the same order."""
+    window = _dyadic_windows(np.asarray(y, dtype=np.float64)[None], lambda i: "y")[0]
     n_used = len(window)
     vec = reflect_fold(window) if cfg.boundary == "reflect" else window
     family = get_family(cfg.family)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         beta = pyramid_analysis(family, vec)
-        _, lam = _noise_threshold(_known_sigma(cfg, len(vec)), cfg.delta, n_used,
-                                  lambda: _mad_rows(beta[None, len(vec) // 2 :]), cfg.lambda_override)
-        shrunk = soft_threshold(beta, float(np.ravel(lam)[0]))
-        values = pyramid_synthesis(family, shrunk)[len(vec) - n_used :]
-    _require_finite_output(values, lambda i: f"denoised value {i}")
+        sigma, lam = _noise_threshold(_known_sigma(cfg, len(vec)), cfg.delta, n_used,
+                                      lambda: _mad_rows(beta[None, len(vec) // 2 :]), cfg.lambda_override)
+        values = pyramid_synthesis(family, _shrink(beta, np.ravel(lam)[0]))[len(vec) - n_used :]
+        overflowed = values + 0.0 * lam + 0.0 * sigma  # NaN where lambda or sigma is not finite
+    _require_finite_output(overflowed, lambda i: f"denoised value {i}, threshold or noise scale")
     return values
 
 

@@ -3,9 +3,11 @@
 Each candidate's loss history is denoised and the model with the smallest
 denoised latest loss wins (ties broken by lexicographically smallest id).
 With the threshold forced to zero this reduces exactly to picking the
-smallest raw latest loss.  The panel is estimated as one stack: the series
-share a length, so their dyadic windows form one (models x window) array
-that goes through the estimator once.
+smallest raw latest loss.  The series share a length, so the panel is one
+(models x T) stack through the estimator's one intake,
+``denoise._estimate_rows``, which checks and refuses each row: a panel of
+one model scores and refuses as :func:`~driftwave.denoise.estimate_latest`
+does.  Only the panel's own checks (empty, ragged, duplicate ids) are here.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# estimate_latest is not called here; it stays importable from this module,
-# where perfbench's traced select-stream run wraps it
-from .denoise import (  # noqa: F401
-    DenoiseConfig, _estimate_rows, _require_finite_output, dyadic_truncate, estimate_latest,
-)
-from .errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
+# estimate_latest stays importable here: perfbench's traced select-stream run wraps it
+from .denoise import DenoiseConfig, _estimate_rows, estimate_latest  # noqa: F401
+from .errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def select(
     own series (useful for losses with hard bounds); off by default so the
     estimator is never silently clipped.  A NaN or infinite loss raises
     :class:`NonFiniteValue` naming the first such model in panel order, as
-    does a denoised loss or threshold that overflows float64.
+    does a denoised loss, threshold or noise scale that overflows float64.
     """
     if not panel:
         raise EmptyPanel("panel holds no loss series")
@@ -137,16 +136,7 @@ def select(
         raise ValueError(f"duplicate model ids: {ids}")
 
     losses = np.array([s.losses for s in panel], dtype=np.float64)  # (models, T)
-    finite = np.isfinite(losses).all(axis=1)
-    if not finite.all():
-        raise NonFiniteValue(f"model {ids[int(np.argmin(finite))]!r} has a NaN or infinite loss")
-    if losses.shape[1] < 2:
-        raise TooShort(f"need at least 2 observations, got {losses.shape[1]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        denoised, lam, _ = _estimate_rows(dyadic_truncate(losses), cfg)
-        # an infinite threshold (an overflowed MAD sigma) zeroes a finite estimate
-        overflowed = denoised + 0.0 * np.ravel(lam)
-    _require_finite_output(overflowed, lambda i: f"the denoised loss of model {ids[i]!r}")
+    denoised, _, _ = _estimate_rows(losses, cfg, lambda i: f"model {ids[i]!r}")
     if clamp:
         denoised = np.clip(denoised, losses.min(axis=1), losses.max(axis=1))
     model_ids = _shared_ids(tuple(ids))

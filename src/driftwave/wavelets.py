@@ -560,6 +560,12 @@ def finest(family: WaveletFamily, windows: np.ndarray, boundary: str) -> np.ndar
     return _filter_down(family.highpass, *pieces)
 
 
+def _require_boundary(boundary: str) -> None:
+    """ValueError unless boundary is "reflect" or "periodic": the one rule."""
+    if boundary not in ("reflect", "periodic"):
+        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
+
+
 @_cached_by_family
 def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     """The :class:`SupportBasis` of ``family_name`` for windows of m samples
@@ -577,8 +583,7 @@ def support_basis(family_name: str, m: int, boundary: str) -> SupportBasis:
     |S| n 8 bytes would exceed ``SUPPORT_BUDGET_BYTES``.
     """
     family = get_family(family_name)
-    if boundary not in ("reflect", "periodic"):
-        raise ValueError(f"boundary must be 'reflect' or 'periodic', got {boundary!r}")
+    _require_boundary(boundary)
     n = 2 * m if boundary == "reflect" else m
     _check_length(n)
     impulse = np.zeros(n)

@@ -573,6 +573,13 @@ class TestBoundProfile:
         prof = bound_profile(theta, NoiseSpec("uniform", (0.0,)), ("haar", "db8"))
         assert prof.values.max() == 0.0
 
+    def test_families_default_to_haar_and_db8(self):
+        theta = generate_signal(SignalSpec("doppler", 64), 0)
+        noise = NoiseSpec("uniform", (0.2, 0.5))
+        default, explicit = bound_profile(theta, noise), bound_profile(theta, noise, ("haar", "db8"))
+        assert default.families == explicit.families == ("haar", "db8")
+        assert default.values.tobytes() == explicit.values.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_truth_rejected(self, bad):
         theta = np.array([0.1] * 7 + [bad])

@@ -29,7 +29,7 @@ from driftwave.denoise import (
 from driftwave._kernels import _shrink_in_place, wavelet_prefix_estimates
 from driftwave.baselines import adaptive_window_mean, adaptive_window_sweep
 from driftwave.bench import NoiseSpec, SignalSpec
-from driftwave.errors import DomainError, NonDyadicLength, NonFiniteValue, TooShort
+from driftwave.errors import DomainError, DriftwaveError, NonDyadicLength, NonFiniteValue, TooShort
 from driftwave.selection import LossSeries, select
 from driftwave.tvstudy import TVStudySpec
 from driftwave.wavelets import CoefficientVector, cached_matrix, forward, last_column_support
@@ -273,6 +273,25 @@ class TestDenoiseSignal:
     def test_overflow_raises(self):
         with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
             denoise_signal(np.full(8, 1e308), DenoiseConfig(family="db4", sigma=0.3))
+
+    @pytest.mark.parametrize("y, cfg", [
+        ([math.nan], DenoiseConfig()),  # finiteness before length
+        ([], DenoiseConfig()),
+        ([1.0], DenoiseConfig(sigma=0.1)),
+        ([0.5, 0.5, math.inf, 0.5], DenoiseConfig()),
+        ([[1.0, 2.0], [3.0, 4.0]], DenoiseConfig()),
+        (1.0, DenoiseConfig()),
+        # an infinite MAD sigma under an override: the values stay finite
+        ([1e308, -1e308] * 4, DenoiseConfig(sigma="mad", lambda_override=0.5, boundary="periodic")),
+    ])
+    def test_refuses_what_estimate_latest_refuses(self, y, cfg):
+        with pytest.raises(DriftwaveError) as want:
+            estimate_latest(np.array(y), cfg)
+        with np.errstate(all="raise"), pytest.raises(DriftwaveError) as got:
+            denoise_signal(np.array(y), cfg)
+        assert type(got.value) is type(want.value)
+        if "overflow" not in str(want.value):
+            assert str(got.value) == str(want.value)
 
 
 class TestMadSigma:

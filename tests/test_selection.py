@@ -1,15 +1,16 @@
 import dataclasses
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftwave.denoise import DenoiseConfig, estimate_latest
-from driftwave.errors import EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
+from driftwave.errors import DriftwaveError, EmptyPanel, NonFiniteValue, ParseError, RaggedPanel, TooShort
 from driftwave.selection import LossSeries, SelectionResult, ingest_panel, select
 from driftwave.wavelets import FAMILY_NAMES
 
@@ -152,6 +153,19 @@ configs = st.builds(
 )
 
 
+@st.composite
+def loss_series(draw) -> list:
+    """A drifting series of 1 to 300 losses with up to three NaN or infinite
+    ones, or a series whose estimate overflows float64."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([[1e308], [-1e308], [1e308, -1e308]])) * draw(st.integers(1, 150))
+    T = draw(st.integers(1, 300))
+    y = drifting_panel(draw(st.integers(0, 2**32 - 1)), 1, T)[0].losses
+    for t in draw(st.lists(st.integers(0, T - 1), max_size=3)):
+        y[t] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return y.tolist()
+
+
 class TestBatchedSelect:
     """The stacked panel estimate against one ``estimate_latest`` per model."""
 
@@ -236,6 +250,35 @@ class TestBatchedSelect:
             panel[i].losses[t] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         with pytest.raises(NonFiniteValue, match=f"'m{min(bad)}'"):
             select(panel, DenoiseConfig(family="db8", sigma="mad"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILY_NAMES), boundary=st.sampled_from(["reflect", "periodic"]),
+        sigma=st.one_of(st.just("mad"), st.floats(0.0, 2.0)), lambda_override=st.sampled_from([None, 0.5]),
+        losses=loss_series(),
+    )
+    # a NaN in a series of one is refused as not finite before its length is
+    # checked
+    @example(family="haar", boundary="reflect", sigma="mad", lambda_override=None, losses=[math.nan])
+    # a finite value under an infinite MAD sigma is refused, not scored
+    @example(family="haar", boundary="periodic", sigma="mad", lambda_override=0.5, losses=[1e308, -1e308] * 4)
+    def test_one_row_select_is_estimate_latest(self, family, boundary, sigma, lambda_override, losses):
+        """A panel of one model scores what ``estimate_latest`` returns, bit
+        for bit, and refuses what it refuses with the same error type."""
+        cfg = DenoiseConfig(family=family, sigma=sigma, lambda_override=lambda_override, boundary=boundary)
+        y = np.array(losses)
+        with np.errstate(all="raise"):
+            try:
+                want = estimate_latest(y, cfg).value
+            except DriftwaveError as exc:
+                with pytest.raises(DriftwaveError) as info:
+                    select([LossSeries("a", y)], cfg)
+                assert type(info.value) is type(exc)
+                if isinstance(exc, NonFiniteValue):
+                    assert "'a'" in str(info.value)
+                return
+            got = select([LossSeries("a", y)], cfg).scores["a"]["denoised"]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("models", [1, 3])
     def test_length_one_series_too_short(self, models):
